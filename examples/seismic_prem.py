@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.apps.dgea.driver import SeismicConfig, SeismicRun
 from repro.io.vtk import write_vtk
+from repro.mangll.geometry import element_centers
 from repro.parallel import SerialComm
 
 
@@ -35,7 +36,7 @@ def main():
     levels = ", ".join(f"L{l}:{int(n)}" for l, n in enumerate(hist) if n)
     print(f"levels: {levels}  (finer near the slow crust)")
 
-    vp, vs = run.prem.wave_speeds(run._element_centers())
+    vp, vs = run.prem.wave_speeds(element_centers(run.forest.local, run.geometry))
     write_vtk(
         "seismic_mesh.vtk",
         run.forest,

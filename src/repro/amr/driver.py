@@ -20,7 +20,7 @@ from repro.p4est import checkpoint as forest_checkpoint
 from repro.p4est.balance import balance
 from repro.p4est.forest import Forest
 from repro.parallel.collectives import collective
-from repro.parallel.machine import CheckpointStore, MemoryCheckpointStore
+from repro.parallel.run import CheckpointStore, MemoryCheckpointStore
 
 
 @dataclass

@@ -9,7 +9,7 @@ comprehensions, and reports any collective call site (classified
 through the shared registry in :mod:`repro.parallel.collectives`) that
 is control-dependent on tainted state — plus satellite rules for
 nondeterministic payloads, swallowed exceptions around collectives,
-deprecated entry points, hand-built layer stacks, and unseeded RNG.
+hand-built layer stacks, and unseeded RNG.
 
 Entry points: :func:`~repro.analysis.engine.lint_paths` /
 :func:`~repro.analysis.engine.lint_source` (library), and

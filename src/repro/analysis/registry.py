@@ -4,9 +4,9 @@
 *what is collective*; this module adds the purely syntactic knowledge
 the AST passes need on top of it: how to recognize comm-like and
 forest-like expressions, which attribute reads seed rank-taint, which
-calls are nondeterministic, which names are deprecated entry points,
-and which classes form the layer stack.  Everything is plain data so
-the corpus tests can construct reduced registries.
+calls are nondeterministic, and which classes form the layer stack.
+Everything is plain data so the corpus tests can construct reduced
+registries.
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ class LintRegistry:
     )
     rng_seeding_names: FrozenSet[str] = frozenset(
         {"seed", "default_rng", "Random", "RandomState", "SeedSequence"}
-    )
-
-    # Rule SPMD005 ---------------------------------------------------------
-    deprecated_entry_points: FrozenSet[str] = frozenset(
-        {"spmd_run", "spmd_run_detailed", "spmd_run_resilient"}
     )
 
     # Rule SPMD006 ---------------------------------------------------------

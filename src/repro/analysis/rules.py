@@ -81,14 +81,6 @@ _RULES: Tuple[Rule, ...] = (
         "payload structure.  Sort set-derived sequences and seed RNGs.",
     ),
     Rule(
-        "SPMD005",
-        "deprecated spmd_run* entry point",
-        "warning",
-        "spmd_run/spmd_run_detailed/spmd_run_resilient are deprecated "
-        "shims; use Machine(RunConfig(...)).run(...) from "
-        "repro.parallel.run.",
-    ),
-    Rule(
         "SPMD006",
         "comm layer stack built by hand",
         "warning",

@@ -21,11 +21,10 @@ communicate) are then checked against the control context:
   -> SPMD003,
 * fed a ``nondet`` payload -> SPMD004,
 
-plus the syntactic rules SPMD005 (deprecated entry points), SPMD006
-(hand-built layer stacks) and SPMD007 (unseeded RNG in SPMD
-functions).  A rank-dependent ``return``/``break``/``continue``
-followed by a later collective also raises SPMD001 — the "early exit"
-form of collective divergence.  Rank-dependent ``raise`` is *not*
+plus the syntactic rules SPMD006 (hand-built layer stacks) and SPMD007
+(unseeded RNG in SPMD functions).  A rank-dependent
+``return``/``break``/``continue`` followed by a later collective also
+raises SPMD001 — the "early exit" form of collective divergence.  Rank-dependent ``raise`` is *not*
 flagged: an uncaught exception aborts the whole machine attributably
 (sanitizer/watchdog territory) rather than silently diverging the
 sequence — unless a swallowing handler is in scope, which is exactly
@@ -716,17 +715,6 @@ class FunctionTaint:
             self._check_payload(node, f"{spec.name}()")
             self._eval_args(node)
             return EMPTY if spec.uniform_result else _RANK
-
-        # SPMD005: deprecated entry points -------------------------------
-        if last in reg.deprecated_entry_points:
-            self._finding(
-                "SPMD005",
-                node.lineno,
-                node.col_offset,
-                f"deprecated entry point {last}(); use "
-                "Machine(RunConfig(...)).run(...)",
-            )
-            return self._eval_args(node)
 
         # SPMD006: hand-built layer stacks -------------------------------
         if last in reg.layer_class_order and not reg.is_layer_module(self.path):

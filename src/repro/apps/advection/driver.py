@@ -20,8 +20,8 @@ import numpy as np
 from repro.amr.driver import adapt_and_rebalance
 from repro.apps.advection.fronts import SphericalFronts
 from repro.p4est import checkpoint as forest_checkpoint
-from repro.parallel.machine import CheckpointStore
-from repro.mangll.geometry import ShellGeometry
+from repro.parallel.run import CheckpointStore
+from repro.mangll.geometry import ShellGeometry, element_centers
 from repro.mangll.mesh import build_mesh
 from repro.mangll.models import AdvectionModel
 from repro.mangll.op import DGOperator, MeshContext
@@ -157,11 +157,10 @@ class AdvectionRun:
         span = self.cfg.outer_radius - self.cfg.inner_radius
         return h_lat / L * span
 
-    def _refine_mask(self, t: float, mesh=None) -> np.ndarray:
+    def _refine_mask(self, t: float) -> np.ndarray:
         octs = self.forest.local
-        L = self.forest.D.root_len
         h = self._element_h()
-        centers = self._element_centers()
+        centers = element_centers(octs, self.geometry)
         d = self.fronts.front_distance(centers, t)
         return (d < self.cfg.refine_band * np.maximum(h, 1e-12)) & (
             octs.level < self.cfg.max_level
@@ -169,28 +168,11 @@ class AdvectionRun:
 
     def _coarsen_mask(self, t: float) -> np.ndarray:
         h = self._element_h()
-        centers = self._element_centers()
+        centers = element_centers(self.forest.local, self.geometry)
         d = self.fronts.front_distance(centers, t)
         return (d > self.cfg.coarsen_band * h) & (
             self.forest.local.level > max(self.cfg.base_level, 1)
         )
-
-    def _element_centers(self) -> np.ndarray:
-        octs = self.forest.local
-        L = self.forest.D.root_len
-        u = np.stack(
-            [
-                (octs.x + octs.lens() / 2) / L,
-                (octs.y + octs.lens() / 2) / L,
-                (octs.z + octs.lens() / 2) / L,
-            ],
-            axis=1,
-        ).astype(np.float64)
-        out = np.zeros((len(octs), 3))
-        for tree in np.unique(octs.tree):
-            sel = np.flatnonzero(octs.tree == tree)
-            out[sel] = self.geometry.map_points(int(tree), u[sel])
-        return out
 
     # -- public API -----------------------------------------------------------------
 

@@ -119,23 +119,6 @@ class SeismicRun:
             lam = np.minimum(lam, vmin / self.cfg.source_frequency)
         return lam
 
-    def _element_centers(self) -> np.ndarray:
-        octs = self.forest.local
-        L = self.forest.D.root_len
-        u = np.stack(
-            [
-                (octs.x + octs.lens() / 2) / L,
-                (octs.y + octs.lens() / 2) / L,
-                (octs.z + octs.lens() / 2) / L,
-            ],
-            axis=1,
-        ).astype(np.float64)
-        out = np.zeros((len(octs), 3))
-        for tree in np.unique(octs.tree):
-            sel = np.flatnonzero(octs.tree == tree)
-            out[sel] = self.geometry.map_points(int(tree), u[sel])
-        return out
-
     def _element_size(self) -> np.ndarray:
         """Physical diameter scale of each local element."""
         L = self.forest.D.root_len

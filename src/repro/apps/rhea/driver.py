@@ -21,7 +21,7 @@ import numpy as np
 from repro.amr.driver import adapt_and_rebalance, mark_fixed_fraction
 from repro.apps.rhea.rheology import PlateModel, Rheology, synthetic_temperature
 from repro.apps.rhea.stokes import StokesProblem, StokesResult
-from repro.mangll.geometry import MultilinearGeometry, ShellGeometry
+from repro.mangll.geometry import MultilinearGeometry, ShellGeometry, element_centers
 from repro.mangll.mesh import build_mesh
 from repro.mangll.op import CGOperator, MeshContext
 from repro.p4est.balance import balance
@@ -107,7 +107,7 @@ class RheaRun:
     def _static_adapt_body(self) -> None:
         t0 = time.perf_counter()
         for _ in range(self.cfg.max_level - self.cfg.base_level):
-            centers = self._element_centers()
+            centers = element_centers(self.forest.local, self.geometry)
             mark = np.zeros(self.forest.local_count, dtype=bool)
             if self.cfg.domain == "shell":
                 if self.rheology.plates is not None:
@@ -147,21 +147,6 @@ class RheaRun:
         balance(self.forest)
         self.forest.partition()
         self.timers["amr"] += time.perf_counter() - t0
-
-    def _element_centers(self) -> np.ndarray:
-        octs = self.forest.local
-        L = self.forest.D.root_len
-        cols = [
-            (octs.x + octs.lens() / 2) / L,
-            (octs.y + octs.lens() / 2) / L,
-            (octs.z + octs.lens() / 2) / L,
-        ]
-        u = np.stack(cols[: self.dim], axis=1).astype(np.float64)
-        out = np.zeros((len(octs), 3))
-        for tree in np.unique(octs.tree):
-            sel = np.flatnonzero(octs.tree == tree)
-            out[sel] = self.geometry.map_points(int(tree), u[sel])
-        return out[:, : max(self.dim, 3)]
 
     def _rebuild(self) -> None:
         t0 = time.perf_counter()

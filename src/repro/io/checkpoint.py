@@ -107,7 +107,9 @@ def read_checkpoint(path: Union[str, os.PathLike]) -> ForestCheckpoint:
     does not exist.
     """
     try:
-        with np.load(path) as data:
+        # Open the file ourselves: np.load(path) leaks its handle when
+        # the archive is torn and the zip reader raises mid-construction.
+        with open(path, "rb") as fh, np.load(fh) as data:
             try:
                 header = json.loads(bytes(data["header"]).decode())
             except (KeyError, ValueError, UnicodeDecodeError) as exc:

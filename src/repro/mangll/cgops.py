@@ -17,9 +17,8 @@ nodes, and inner products reduce over owned nodes (one allreduce).
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,24 +117,14 @@ def _edge_faces(e: int) -> Tuple[int, int]:
 
 
 class CGSpace:
-    """Continuous Galerkin function space over a forest mesh + LNodes."""
+    """Continuous Galerkin function space over a forest mesh + LNodes.
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        ln: LNodes,
-        comm: Comm,
-        *,
-        _deprecation_warning: bool = True,
-    ) -> None:
-        if _deprecation_warning:
-            warnings.warn(
-                "CGSpace() is deprecated; use "
-                "repro.mangll.op.CGOperator(degree).bind(ctx) "
-                "(compiled element kernels, same bit-exact results)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    The reference implementation: applications bind
+    :class:`repro.mangll.op.CGOperator`, whose bound operator is a
+    subclass swapping in compiled element kernels tested against these.
+    """
+
+    def __init__(self, mesh: Mesh, ln: LNodes, comm: Comm) -> None:
         if ln.degree != mesh.degree:
             raise ValueError("LNodes/mesh degree mismatch")
         self.mesh = mesh
@@ -144,7 +133,6 @@ class CGSpace:
         self.dim = mesh.dim
         self.nq = mesh.degree + 1
         self.npts = self.nq**self.dim
-        self._R_of: Dict[int, np.ndarray] = {}
 
     # --- Element constraint operators ----------------------------------------------
 

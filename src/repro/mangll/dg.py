@@ -17,7 +17,6 @@ Flux models implement:
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -32,24 +31,14 @@ from repro.trace.tracer import PHASE_APPLY, traced
 
 
 class DGSolver:
-    """Semi-discrete dG operator ``dq/dt = L(q, t)`` on a forest mesh."""
+    """Semi-discrete dG operator ``dq/dt = L(q, t)`` on a forest mesh.
 
-    def __init__(
-        self,
-        space: DGSpace,
-        flux_model,
-        comm: Comm,
-        *,
-        _deprecation_warning: bool = True,
-    ) -> None:
-        if _deprecation_warning:
-            warnings.warn(
-                "DGSolver() is deprecated; use "
-                "repro.mangll.op.DGOperator(model, degree).bind(ctx) "
-                "(compiled kernels, same bit-exact results)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    The reference implementation: applications bind
+    :class:`repro.mangll.op.DGOperator`, whose compiled kernels are
+    tested against this class.
+    """
+
+    def __init__(self, space: DGSpace, flux_model, comm: Comm) -> None:
         self.space = space
         self.model = flux_model
         self.comm = comm

@@ -226,6 +226,18 @@ class BrickGeometry(Geometry):
         return out
 
 
+def element_centers(octants, geometry: Geometry) -> np.ndarray:
+    """Physical centre of each octant under ``geometry``, shape (n, 3)."""
+    half = octants.lens() / 2
+    cols = [(c + half) / octants.D.root_len for c in (octants.x, octants.y, octants.z)]
+    u = np.stack(cols[: geometry.dim], axis=1)
+    out = np.zeros((len(octants), 3))
+    for tree in np.unique(octants.tree):
+        sel = np.flatnonzero(octants.tree == tree)
+        out[sel] = geometry.map_points(int(tree), u[sel])
+    return out
+
+
 def default_geometry(conn: Connectivity) -> Geometry:
     """The multilinear geometry over the connectivity's vertices."""
     return MultilinearGeometry(conn)

@@ -1,9 +1,7 @@
 """The operator frontend of mangll: declarative specs, bound operators.
 
-This module is the public face of the element-loop redesign (ROADMAP
-item 2).  Instead of constructing :class:`~repro.mangll.dg.DGSolver` or
-:class:`~repro.mangll.cgops.CGSpace` directly, applications describe the
-operator they want as a small frozen spec and *bind* it to a mesh::
+Applications describe the operator they want as a small frozen spec and
+*bind* it to a mesh::
 
     ctx = MeshContext(forest, ghost, mesh, comm)
     L = DGOperator(model, degree=3).bind(ctx)
@@ -22,13 +20,10 @@ Binding chooses between two interchangeable executions:
   construction (an AST guard enforces it); the one ghost exchange per
   ``rhs`` stays in this frontend, where the collective sanitizer and
   spmdlint can see it.
-* **interpreted** — the bound operator delegates to the reference
-  implementation (``DGSolver`` / ``CGSpace`` / ``transfer_nodal_fields``).
-
-The mode is resolved per bind from ``compile=`` on the spec, falling
-back to the process-wide default (:func:`set_default_mode`) with a
-thread-local override so the SPMD machine can pin a mode per rank
-(:class:`CompileModeProgram`, used by ``RunConfig(compile=...)``).
+* **interpreted** (``compile=False`` on the spec) — the bound operator
+  runs the hand-written reference implementation (``DGSolver`` /
+  ``CGSpace`` / ``transfer_nodal_fields``) the compiled kernels are
+  tested against.
 
 Compilation and bind-evaluation run inside the ``Compile`` trace phase;
 operator application keeps the reference's phase labels (``Apply``,
@@ -39,12 +34,10 @@ modes.
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.mangll import compiler as kc
 from repro.mangll.cgops import CGSpace
@@ -56,7 +49,6 @@ from repro.parallel.comm import Comm
 from repro.trace.tracer import PHASE_APPLY, PHASE_COMPILE, PHASE_TRANSFER, phase
 
 __all__ = [
-    "MODES",
     "MeshContext",
     "DGOperator",
     "BoundDGOperator",
@@ -64,73 +56,7 @@ __all__ = [
     "BoundCGOperator",
     "TransferOperator",
     "transfer_fields",
-    "get_default_mode",
-    "set_default_mode",
-    "CompileModeProgram",
 ]
-
-MODES = ("compiled", "interpreted")
-
-#: Process-wide default execution mode; see :func:`set_default_mode`.
-_DEFAULT_MODE = "compiled"
-
-# Per-thread override installed by CompileModeProgram.  The SPMD thread
-# backend runs each rank on its own thread, so a rank-program wrapper
-# must not flip the process-wide default while sibling ranks are still
-# binding operators — it installs a thread-local instead.
-_TLS = threading.local()
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
-def get_default_mode() -> str:
-    """The execution mode binds use when the spec leaves ``compile=None``."""
-    return getattr(_TLS, "mode", None) or _DEFAULT_MODE
-
-
-def set_default_mode(mode: str) -> str:
-    """Set the process-wide default mode; returns the previous value."""
-    global _DEFAULT_MODE
-    _check_mode(mode)
-    prev = _DEFAULT_MODE
-    _DEFAULT_MODE = mode
-    return prev
-
-
-def _resolve_mode(compile_flag: Optional[bool]) -> str:
-    """Map a spec's ``compile`` tri-state onto an execution mode."""
-    if compile_flag is None:
-        return get_default_mode()
-    return "compiled" if compile_flag else "interpreted"
-
-
-@dataclass
-class CompileModeProgram:
-    """Picklable rank-program wrapper pinning the execution mode.
-
-    ``Machine.run`` wraps the user's rank program in one of these when
-    ``RunConfig(compile=...)`` is set, so every operator bound inside
-    the program — on any backend — resolves ``compile=None`` to the
-    configured mode.  The override is thread-local: under the thread
-    backend each rank is a thread, and restoring a process-wide global
-    from the first rank to finish would race the others.
-    """
-
-    fn: Callable[..., Any]
-    mode: str
-
-    def __call__(self, comm: Comm, *args: Any, **kwargs: Any) -> Any:
-        """Run the wrapped rank program under the pinned mode."""
-        prev = getattr(_TLS, "mode", None)
-        _TLS.mode = _check_mode(self.mode)
-        try:
-            return self.fn(comm, *args, **kwargs)
-        finally:
-            _TLS.mode = prev
 
 
 # --- Mesh context -----------------------------------------------------------
@@ -206,40 +132,38 @@ def _freeze_material(model: Any) -> Any:
 class DGOperator:
     """Spec for the semi-discrete dG operator ``dq/dt = L(q, t)``.
 
-    ``compile=None`` defers to :func:`get_default_mode`; ``True`` /
-    ``False`` force the compiled / interpreted execution for this
-    operator alone.
+    ``compile=False`` binds the interpreted reference instead of the
+    compiled kernel.
     """
 
     model: Any
     degree: int
-    compile: Optional[bool] = None
+    compile: bool = True
 
     def bind(self, ctx: MeshContext) -> "BoundDGOperator":
         """Bind to a mesh: build the space, precompute, maybe compile."""
         space = DGSpace(ctx.forest, ctx.ghost, ctx.mesh, self.degree)
-        return BoundDGOperator(space, self.model, ctx.comm, _resolve_mode(self.compile))
+        return BoundDGOperator(space, self.model, ctx.comm, self.compile)
 
 
 class BoundDGOperator:
-    """The dG operator bound to one mesh, in one execution mode.
+    """The dG operator bound to one mesh, compiled or interpreted.
 
-    Keeps the reference :class:`DGSolver` in both modes — its
-    precomputed geometric tables feed the compiled kernel's bind stage,
-    and ``stable_dt`` / ``integrate_quantity`` (cheap, reduction-bound)
+    Keeps the reference :class:`DGSolver` either way — its precomputed
+    geometric tables feed the compiled kernel's bind stage, and
+    ``stable_dt`` / ``integrate_quantity`` (cheap, reduction-bound)
     always run interpreted.
     """
 
-    def __init__(self, space: DGSpace, model: Any, comm: Comm, mode: str) -> None:
+    def __init__(self, space: DGSpace, model: Any, comm: Comm, compile: bool) -> None:
         self.space = space
         self.model = model
         self.comm = comm
-        self.mode = _check_mode(mode)
-        self.solver = DGSolver(space, model, comm, _deprecation_warning=False)
+        self.solver = DGSolver(space, model, comm)
         self._kernel: Optional[Callable[..., np.ndarray]] = None
         self._P: Optional[Dict[str, Any]] = None
         self._run_model = model
-        if self.mode == "compiled":
+        if compile:
             with phase(PHASE_COMPILE):
                 kind = kc.model_kind(model)
                 compiled = kc.compile_dg_rhs(
@@ -298,7 +222,7 @@ class CGOperator:
     """Spec for the continuous-Galerkin function space and its kernels."""
 
     degree: int
-    compile: Optional[bool] = None
+    compile: bool = True
 
     def bind(self, ctx: MeshContext) -> "BoundCGOperator":
         """Bind to a mesh; requires ``ctx.ln`` (the cG node numbering)."""
@@ -308,42 +232,30 @@ class CGOperator:
             raise ValueError(
                 f"CGOperator degree {self.degree} != mesh degree {ctx.mesh.degree}"
             )
-        space = CGSpace(ctx.mesh, ctx.ln, ctx.comm, _deprecation_warning=False)
-        return BoundCGOperator(space, _resolve_mode(self.compile))
+        return BoundCGOperator(ctx.mesh, ctx.ln, ctx.comm, self.compile)
 
 
-class BoundCGOperator:
-    """A CG space bound to one mesh, with optionally compiled kernels.
+class BoundCGOperator(CGSpace):
+    """A :class:`CGSpace` whose element kernels are optionally compiled.
 
-    Wraps the reference :class:`CGSpace` and mirrors its full public
-    surface; in compiled mode the element-local kernels
-    (``elem_laplacian`` / ``elem_mass``) run the specialized flat
-    kernels with the metric contraction hoisted to bind time.  The
-    distributed pieces (assembly scatter, matvec, reductions) always
-    delegate — they are collective and belong to the reference.
+    Bound compiled, ``elem_laplacian`` / ``elem_mass`` run the
+    specialized flat kernels with the metric contraction hoisted to bind
+    time; everything else (assembly scatter, matvec, reductions — the
+    distributed, collective pieces) is the reference's, inherited.
     """
 
-    def __init__(self, space: CGSpace, mode: str) -> None:
-        self.cg = space
-        self.mode = _check_mode(mode)
-        self.mesh = space.mesh
-        self.ln = space.ln
-        self.comm = space.comm
-        self.dim = space.dim
-        self.nq = space.nq
-        self.npts = space.npts
+    def __init__(self, mesh: Any, ln: Any, comm: Comm, compile: bool) -> None:
+        super().__init__(mesh, ln, comm)
         self._lap: Optional[Callable[..., np.ndarray]] = None
         self._mass: Optional[Callable[..., np.ndarray]] = None
         self._P: Optional[Dict[str, Any]] = None
-        if self.mode == "compiled":
+        if compile:
             with phase(PHASE_COMPILE):
-                compiled = kc.compile_cg_elem(space.dim, space.mesh.degree)
-                self._P = kc.prepare_cg_elem(compiled, space)
+                compiled = kc.compile_cg_elem(self.dim, mesh.degree)
+                self._P = kc.prepare_cg_elem(compiled, self)
                 self._lap = compiled.fn("elem_laplacian")
                 self._mass = compiled.fn("elem_mass")
                 self.kernel_key = compiled.key
-
-    # Element kernels (compiled when bound compiled) -----------------------
 
     def _wdet(self, coeff: Optional[np.ndarray]) -> np.ndarray:
         """``w * detJ`` scaled by the coefficient, as the reference does."""
@@ -354,64 +266,14 @@ class BoundCGOperator:
     def elem_laplacian(self, coeff: Optional[np.ndarray] = None) -> np.ndarray:
         """Element stiffness: int coeff grad(phi_i) . grad(phi_j)."""
         if self._lap is None:
-            return self.cg.elem_laplacian(coeff)
+            return super().elem_laplacian(coeff)
         return self._lap(self._wdet(coeff), self._P)
 
     def elem_mass(self, coeff: Optional[np.ndarray] = None) -> np.ndarray:
         """Element (LGL-collocated, diagonal) mass matrices."""
         if self._mass is None:
-            return self.cg.elem_mass(coeff)
+            return super().elem_mass(coeff)
         return self._mass(self._wdet(coeff), self._P)
-
-    # Reference delegation -------------------------------------------------
-
-    def element_R(self, e: int) -> np.ndarray:
-        """Element hanging-node constraint operator."""
-        return self.cg.element_R(e)
-
-    def assemble_matrix(self, elem_mats: np.ndarray) -> sp.csr_matrix:
-        """Assemble per-element dense matrices into the local sparse system."""
-        return self.cg.assemble_matrix(elem_mats)
-
-    def assemble_vector(self, elem_vecs: np.ndarray) -> np.ndarray:
-        """Assemble per-element load vectors (partial on shared rows)."""
-        return self.cg.assemble_vector(elem_vecs)
-
-    def assemble_vector_summed(self, elem_vecs: np.ndarray) -> np.ndarray:
-        """Assembled vector with shared contributions accumulated globally."""
-        return self.cg.assemble_vector_summed(elem_vecs)
-
-    def elem_load(self, f_nodal: np.ndarray) -> np.ndarray:
-        """Element load vectors for a nodal forcing field."""
-        return self.cg.elem_load(f_nodal)
-
-    def node_coords(self, geometry: Any) -> np.ndarray:
-        """Physical coordinates of each local node."""
-        return self.cg.node_coords(geometry)
-
-    def boundary_node_mask(self, conn: Any) -> np.ndarray:
-        """Nodes on the physical (unconnected) domain boundary."""
-        return self.cg.boundary_node_mask(conn)
-
-    def make_operator(
-        self, A_local: sp.csr_matrix
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """Distributed matvec: local product + reverse-add over shared nodes."""
-        return self.cg.make_operator(A_local)
-
-    def make_constrained_operator(
-        self, A_local: sp.csr_matrix, fixed_mask: np.ndarray
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """Distributed matvec acting as the identity on constrained nodes."""
-        return self.cg.make_constrained_operator(A_local, fixed_mask)
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Global inner product over owned nodes (collective allreduce)."""
-        return self.cg.dot(a, b)
-
-    def norm(self, a: np.ndarray) -> float:
-        """Global 2-norm over owned nodes (collective allreduce)."""
-        return self.cg.norm(a)
 
 
 # --- p-transfer -------------------------------------------------------------
@@ -423,7 +285,7 @@ def transfer_fields(
     new_octants: Any,
     degree: int,
     *,
-    compile: Optional[bool] = None,
+    compile: bool = True,
 ) -> np.ndarray:
     """Transfer nodal fields between forests (compiled or interpreted).
 
@@ -432,7 +294,7 @@ def transfer_fields(
     the interpreted path is :func:`~repro.mangll.transfer.transfer_nodal_fields`.
     Both are communication-free and carry the ``Transfer`` phase label.
     """
-    if _resolve_mode(compile) == "interpreted":
+    if not compile:
         return transfer_nodal_fields(old_octants, q_old, new_octants, degree)
     dim = old_octants.dim
     npts = (degree + 1) ** dim
@@ -453,7 +315,7 @@ class TransferOperator:
     """Spec for inter-mesh solution transfer at one polynomial degree."""
 
     degree: int
-    compile: Optional[bool] = None
+    compile: bool = True
 
     def apply(
         self, old_octants: Any, q_old: np.ndarray, new_octants: Any

@@ -14,8 +14,7 @@ Launching is declarative: describe the run with a :class:`RunConfig`
 execute it with :class:`Machine`.  Backends are interchangeable — same
 values, byte-exact :class:`CommStats` — the thread backend is cheap to
 launch while the process backend runs rank compute truly in parallel
-(see ``docs/BACKENDS.md``).  The historical ``spmd_run*`` entry points
-remain as deprecated shims.
+(see ``docs/BACKENDS.md``).
 """
 
 from repro.parallel.backend import (
@@ -27,7 +26,7 @@ from repro.parallel.backend import (
     SpmdReport,
     get_backend,
 )
-from repro.parallel.comm import Comm, SerialComm
+from repro.parallel.comm import Comm, CommDecorator, SerialComm
 from repro.parallel.faults import Fault, FaultPlan, FaultyComm, InjectedFailure
 from repro.parallel.layers import (
     LAYER_ORDER,
@@ -39,14 +38,7 @@ from repro.parallel.layers import (
     Watchdog,
     wrap_comm,
 )
-from repro.parallel.machine import (
-    ResilientResult,
-    ThreadBackend,
-    ThreadComm,
-    spmd_run,
-    spmd_run_detailed,
-    spmd_run_resilient,
-)
+from repro.parallel.machine import ThreadBackend, ThreadComm
 from repro.parallel.ops import MAX, MIN, PROD, SUM, payload_nbytes
 from repro.parallel.process_backend import ProcessBackend, ProcessComm
 from repro.parallel.run import (
@@ -100,13 +92,9 @@ __all__ = [
     "MAX_RANKS",
     # Communicators and errors
     "Comm",
+    "CommDecorator",
     "SerialComm",
     "SpmdError",
-    # Deprecated entry points
-    "spmd_run",
-    "spmd_run_detailed",
-    "spmd_run_resilient",
-    "ResilientResult",
     # Fault injection
     "Fault",
     "FaultPlan",

@@ -30,8 +30,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.parallel.comm import Comm
-from repro.parallel.ops import SUM, ReduceOp
+from repro.parallel.comm import Comm, CommDecorator
+from repro.parallel.ops import ReduceOp
 
 # Fault kinds ----------------------------------------------------------------
 
@@ -288,7 +288,7 @@ def truncate_payload(obj: Any) -> Any:
 # The communicator decorator -------------------------------------------------
 
 
-class FaultyComm(Comm):
+class FaultyComm(CommDecorator):
     """A :class:`Comm` decorator that injects a :class:`FaultPlan`.
 
     Every operation first advances this rank's call counter, fires any
@@ -298,11 +298,8 @@ class FaultyComm(Comm):
     """
 
     def __init__(self, inner: Comm, plan: FaultPlan) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
-        self.rank = inner.rank
-        self.size = inner.size
-        self.stats = inner.stats
         self.calls = 0
         self.injected: List[Fault] = []
         #: This rank's persistent stragglers, applied by :meth:`_post`.
@@ -364,64 +361,10 @@ class FaultyComm(Comm):
         if lag > 0.0:
             time.sleep(lag)
 
-    # Collectives: count, inject, delegate ---------------------------------
-
-    def barrier(self) -> None:
-        """Fault-injected :meth:`Comm.barrier`."""
-        self._step(None)
-        self.inner.barrier()
-        self._post()
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Fault-injected :meth:`Comm.bcast`."""
-        result = self.inner.bcast(self._step(obj), root=root)
-        self._post()
-        return result
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Fault-injected :meth:`Comm.gather`."""
-        result = self.inner.gather(self._step(obj), root=root)
-        self._post()
-        return result
-
-    def scatter(self, objs: Optional[List[Any]], root: int = 0) -> Any:
-        """Fault-injected :meth:`Comm.scatter`."""
-        result = self.inner.scatter(self._step(objs), root=root)
-        self._post()
-        return result
-
-    def allgather(self, obj: Any) -> List[Any]:
-        """Fault-injected :meth:`Comm.allgather`."""
-        result = self.inner.allgather(self._step(obj))
-        self._post()
-        return result
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Fault-injected :meth:`Comm.allreduce`."""
-        result = self.inner.allreduce(self._step(value), op)
-        self._post()
-        return result
-
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Fault-injected :meth:`Comm.exscan`."""
-        result = self.inner.exscan(self._step(value), op)
-        self._post()
-        return result
-
-    def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Fault-injected :meth:`Comm.scan`."""
-        result = self.inner.scan(self._step(value), op)
-        self._post()
-        return result
-
-    def alltoall(self, objs: List[Any]) -> List[Any]:
-        """Fault-injected :meth:`Comm.alltoall`."""
-        result = self.inner.alltoall(self._step(objs))
-        self._post()
-        return result
-
-    def exchange(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
-        """Fault-injected :meth:`Comm.exchange`."""
-        result = self.inner.exchange(self._step(outbox))
+    def _invoke(
+        self, op: str, payload: Any, root: Optional[int], reduce_op: Optional[ReduceOp]
+    ) -> Any:
+        """Count the call, inject its faults, delegate, then apply straggler lag."""
+        result = super()._invoke(op, self._step(payload), root, reduce_op)
         self._post()
         return result

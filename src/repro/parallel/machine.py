@@ -1,4 +1,4 @@
-"""The thread execution backend, plus the deprecated ``spmd_run*`` shims.
+"""The thread execution backend.
 
 :class:`ThreadBackend` runs one thread per rank, each executing the same
 ``fn(comm, *args)`` against its own :class:`ThreadComm`.  Collectives are
@@ -15,51 +15,24 @@ frontend, so accounting is byte-exact with the process backend of
 :mod:`repro.parallel.process_backend`.  Threads share one address space
 and the GIL: communication is cheap but compute never overlaps, which is
 exactly what the process backend exists to fix (see ``docs/BACKENDS.md``).
-
-The historical entry points :func:`spmd_run`, :func:`spmd_run_detailed`,
-and :func:`spmd_run_resilient` remain as thin deprecated shims over
-:class:`repro.parallel.run.Machine`; new code should build a
-:class:`~repro.parallel.run.RunConfig` instead.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.parallel.backend import (
-    MAX_RANKS,
     AttemptRequest,
     AttemptResult,
     Backend,
     MeteredComm,
     RankOutcome,
     SpmdError,
-    SpmdReport,
     effective_timeout,
 )
-from repro.parallel.comm import Comm
-from repro.parallel.layers import (
-    CommLayer,
-    Faults,
-    LayerContext,
-    Sanitize,
-    Trace,
-    Watchdog,
-    find_layer,
-    wrap_comm,
-)
-from repro.parallel.run import (
-    CheckpointStore,
-    MemoryCheckpointStore,
-    Machine,
-    RecoveryReport,
-    RunConfig,
-    RunResult,
-)
+from repro.parallel.layers import LayerContext, find_layer, wrap_comm
 from repro.parallel.sanitizer import SanitizerState
 from repro.parallel.stats import CommStats
 from repro.parallel.watchdog import HangError, HangWatchdog
@@ -321,148 +294,3 @@ class ThreadBackend(Backend):
                         ),
                     )
                 return
-
-
-# Deprecated entry points ----------------------------------------------------
-
-_MIGRATION_HINT = "see docs/BACKENDS.md for the RunConfig migration guide"
-
-
-def _legacy_layers(
-    trace: bool,
-    watchdog: Optional[HangWatchdog],
-    sanitize: bool,
-    comm_wrapper: Optional[Callable[..., Comm]] = None,
-) -> List[CommLayer]:
-    """Translate the old keyword sprawl into an explicit layer stack."""
-    layers: List[CommLayer] = []
-    if comm_wrapper is not None:
-        layers.append(Faults(wrapper=comm_wrapper))
-    if sanitize:
-        layers.append(Sanitize())
-    if watchdog is not None:
-        layers.append(Watchdog(watchdog))
-    if trace:
-        layers.append(Trace())
-    return layers
-
-
-def spmd_run_detailed(
-    size: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    trace: bool = False,
-    timeout: Optional[float] = None,
-    watchdog: Optional[HangWatchdog] = None,
-    sanitize: bool = False,
-    **kwargs: Any,
-) -> SpmdReport:
-    """Run ``fn(comm, *args, **kwargs)`` SPMD with metering.  Deprecated.
-
-    Use ``Machine(RunConfig(size=..., layers=[...])).run(fn, ...).report``
-    instead; the keyword toggles map to
-    :class:`~repro.parallel.layers.Trace`,
-    :class:`~repro.parallel.layers.Watchdog`, and
-    :class:`~repro.parallel.layers.Sanitize` layers.
-    """
-    warnings.warn(
-        "spmd_run_detailed() is deprecated; use "
-        f"Machine(RunConfig(...)).run(...).report ({_MIGRATION_HINT})",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = RunConfig(
-        size=size,
-        timeout=timeout,
-        layers=_legacy_layers(trace, watchdog, sanitize),
-    )
-    return Machine(config).run(fn, *args, **kwargs).report
-
-
-def spmd_run(
-    size: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    trace: bool = False,
-    timeout: Optional[float] = None,
-    watchdog: Optional[HangWatchdog] = None,
-    sanitize: bool = False,
-    **kwargs: Any,
-) -> List[Any]:
-    """Run ``fn(comm, *args, **kwargs)`` SPMD on ``size`` ranks.  Deprecated.
-
-    Use ``Machine(RunConfig(size=...)).run(fn, ...).values`` instead.
-    Returns the list of per-rank return values; if any rank raises, a
-    :class:`SpmdError` naming the first failed rank propagates with the
-    original exception chained.
-    """
-    warnings.warn(
-        "spmd_run() is deprecated; use "
-        f"Machine(RunConfig(...)).run(...).values ({_MIGRATION_HINT})",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = RunConfig(
-        size=size,
-        timeout=timeout,
-        layers=_legacy_layers(trace, watchdog, sanitize),
-    )
-    return Machine(config).run(fn, *args, **kwargs).values
-
-
-@dataclass
-class ResilientResult:
-    """Return value of the deprecated :func:`spmd_run_resilient`.
-
-    New code receives the equivalent :class:`~repro.parallel.run.RunResult`
-    from ``Machine(RunConfig(recover=True)).run(...)``.
-    """
-
-    values: List[Any]
-    report: SpmdReport
-    recovery: RecoveryReport
-
-
-def spmd_run_resilient(
-    size: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    max_retries: int = 3,
-    shrink_on_failure: bool = False,
-    min_size: int = 1,
-    store: Optional[CheckpointStore] = None,
-    comm_wrapper: Optional[Callable[[Comm, int], Comm]] = None,
-    trace: bool = False,
-    timeout: Optional[float] = None,
-    watchdog: Optional[HangWatchdog] = None,
-    sanitize: bool = False,
-    **kwargs: Any,
-) -> ResilientResult:
-    """Run ``fn(comm, store, *args, **kwargs)`` with recovery.  Deprecated.
-
-    Use ``Machine(RunConfig(size=..., recover=True, max_retries=...,
-    layers=[Faults(wrapper=...), ...])).run(fn, ...)`` instead; the
-    ``comm_wrapper(comm, attempt)`` hook is exactly
-    ``Faults(wrapper=...)``.  Semantics are unchanged: on failure the
-    program is relaunched from the last checkpoint up to ``max_retries``
-    times, optionally shrinking the rank count, and the result carries
-    the :class:`RecoveryReport` consumed by :mod:`repro.perf`.
-    """
-    warnings.warn(
-        "spmd_run_resilient() is deprecated; use "
-        f"Machine(RunConfig(recover=True, ...)).run(...) ({_MIGRATION_HINT})",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = RunConfig(
-        size=size,
-        timeout=timeout,
-        recover=True,
-        max_retries=max_retries,
-        shrink_on_failure=shrink_on_failure,
-        min_size=min_size,
-        layers=_legacy_layers(trace, watchdog, sanitize, comm_wrapper),
-    )
-    result = Machine(config).run(fn, *args, store=store, **kwargs)
-    assert result.recovery is not None
-    return ResilientResult(result.values, result.report, result.recovery)

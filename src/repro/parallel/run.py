@@ -1,6 +1,6 @@
 """The SPMD launch API: ``RunConfig`` + ``Machine``.
 
-This is the one non-deprecated way to execute a rank program.  A run is
+This is the one way to execute a rank program.  A run is
 described declaratively by a :class:`RunConfig` — how many ranks, which
 execution backend (``"thread"`` or ``"process"``), which communicator
 :mod:`layers <repro.parallel.layers>`, timeouts, and the recovery
@@ -12,16 +12,12 @@ policy — and executed by a :class:`Machine`::
     result = Machine(config).run(step, forest_args)
     print(result.values, result.report.merged_stats().summary())
 
-The legacy entry points (``spmd_run``, ``spmd_run_detailed``,
-``spmd_run_resilient`` in :mod:`repro.parallel.machine`) are deprecated
-shims over this module; see ``docs/BACKENDS.md`` for the migration
-guide.  Whatever the backend, the same program yields the same values
-and byte-exact :class:`~repro.parallel.stats.CommStats` — backends
-change how ranks execute, never what they compute.
+Whatever the backend, the same program yields the same values and
+byte-exact :class:`~repro.parallel.stats.CommStats` — backends change
+how ranks execute, never what they compute (``docs/BACKENDS.md``).
 
-Recovery (``RunConfig(recover=True)``) subsumes the old
-``spmd_run_resilient``: the rank program receives a
-:class:`CheckpointStore` after the communicator, failed attempts are
+Under recovery (``RunConfig(recover=True)``) the rank program receives
+a :class:`CheckpointStore` after the communicator, failed attempts are
 relaunched from the last checkpoint (optionally shrinking the rank
 count), and the returned :class:`RunResult` carries a
 :class:`RecoveryReport`.  Under the process backend this recovers from
@@ -221,15 +217,6 @@ class RunConfig:
         programs); an unpicklable job silently falls back to a fresh
         spawn.  Pair with ``Machine.close()`` (or a ``with`` block) to
         retire the pool.  The thread backend ignores it.
-    ``compile``
-        Execution mode for mangll operators bound inside the rank
-        program: ``True`` pins :mod:`repro.mangll.op` binds with
-        ``compile=None`` to the compiled kernels, ``False`` to the
-        interpreted references, ``None`` (default) leaves the
-        process-wide default in charge.  Implemented by wrapping the
-        rank program in a picklable
-        :class:`~repro.mangll.op.CompileModeProgram`, so it works on
-        both backends.
     ``attempt_offset``
         Added to the attempt index delivered to the layer stack
         (:class:`~repro.parallel.layers.LayerContext.attempt`).  Drivers
@@ -252,7 +239,6 @@ class RunConfig:
     shm_threshold_bytes: int = 1 << 16
     warm_pool: bool = False
     attempt_offset: int = 0
-    compile: Optional[bool] = None
 
     def __post_init__(self) -> None:
         """Validate the configuration and canonicalize the layer stack."""
@@ -280,8 +266,6 @@ class RunConfig:
             raise ValueError("shm_threshold_bytes must be >= 0")
         if self.attempt_offset < 0:
             raise ValueError("attempt_offset must be >= 0")
-        if self.compile is not None and not isinstance(self.compile, bool):
-            raise TypeError("compile must be None, True, or False")
 
 
 @dataclass
@@ -384,7 +368,6 @@ class Machine:
         cfg = self.config
         if store is None:
             store = cfg.store
-        fn = self._wrap_compile_mode(fn)
         if cfg.recover:
             return self._run_recovering(fn, args, kwargs, store)
         request = AttemptRequest(
@@ -409,19 +392,6 @@ class Machine:
             recovery = RecoveryReport(initial_size=cfg.size, final_size=cfg.size)
             self._merge_replacements(recovery, result)
         return RunResult(report.values, report, recovery)
-
-    def _wrap_compile_mode(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """Pin the mangll execution mode when ``config.compile`` is set.
-
-        Imported lazily: the parallel machinery must not load the
-        mangll stack for runs that never touch it.
-        """
-        if self.config.compile is None:
-            return fn
-        from repro.mangll.op import CompileModeProgram
-
-        mode = "compiled" if self.config.compile else "interpreted"
-        return CompileModeProgram(fn, mode)
 
     @staticmethod
     def _merge_replacements(recovery: RecoveryReport, result: Any) -> None:

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.parallel.collectives import PAYLOAD_CHECKED_OPS
-from repro.parallel.comm import Comm
+from repro.parallel.comm import Comm, CommDecorator
 from repro.parallel.ops import LAND, LOR, MAX, MIN, PROD, SUM, ReduceOp
 
 #: Operations whose payload structure must agree across ranks (elementwise
@@ -201,7 +201,7 @@ class SanitizerState:
                 del self._sites[seq]
 
 
-class SanitizedComm(Comm):
+class SanitizedComm(CommDecorator):
     """A :class:`Comm` decorator validating every call against its peers.
 
     Stats alias the wrapped comm's, so metering is unchanged; the
@@ -219,21 +219,14 @@ class SanitizedComm(Comm):
             raise ValueError(
                 f"sanitizer state is for {state.size} ranks, comm has {inner.size}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.state = state
-        self.rank = inner.rank
-        self.size = inner.size
-        self.stats = inner.stats
         self.calls = 0
 
-    def _check(
-        self,
-        op: str,
-        root: Optional[int] = None,
-        reduce_op: Optional[ReduceOp] = None,
-        payload: Any = None,
-    ) -> None:
-        """Fingerprint one call and cross-validate it at this rank's index."""
+    def _invoke(
+        self, op: str, payload: Any, root: Optional[int], reduce_op: Optional[ReduceOp]
+    ) -> Any:
+        """Fingerprint the call, cross-validate it at this rank's index, delegate."""
         sig = CallSignature(
             op,
             root=root,
@@ -243,55 +236,4 @@ class SanitizedComm(Comm):
         seq = self.calls
         self.calls += 1
         self.state.check(self.rank, seq, sig)
-
-    # Collectives: fingerprint, validate, delegate -------------------------
-
-    def barrier(self) -> None:
-        """Sanitized :meth:`Comm.barrier`."""
-        self._check("barrier")
-        self.inner.barrier()
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Sanitized :meth:`Comm.bcast`."""
-        self._check("bcast", root=root)
-        return self.inner.bcast(obj, root=root)
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Sanitized :meth:`Comm.gather`."""
-        self._check("gather", root=root)
-        return self.inner.gather(obj, root=root)
-
-    def scatter(self, objs: Optional[List[Any]], root: int = 0) -> Any:
-        """Sanitized :meth:`Comm.scatter`."""
-        self._check("scatter", root=root)
-        return self.inner.scatter(objs, root=root)
-
-    def allgather(self, obj: Any) -> List[Any]:
-        """Sanitized :meth:`Comm.allgather`."""
-        self._check("allgather")
-        return self.inner.allgather(obj)
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Sanitized :meth:`Comm.allreduce`."""
-        self._check("allreduce", reduce_op=op, payload=value)
-        return self.inner.allreduce(value, op)
-
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Sanitized :meth:`Comm.exscan`."""
-        self._check("exscan", reduce_op=op, payload=value)
-        return self.inner.exscan(value, op)
-
-    def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Sanitized :meth:`Comm.scan`."""
-        self._check("scan", reduce_op=op, payload=value)
-        return self.inner.scan(value, op)
-
-    def alltoall(self, objs: List[Any]) -> List[Any]:
-        """Sanitized :meth:`Comm.alltoall`."""
-        self._check("alltoall")
-        return self.inner.alltoall(objs)
-
-    def exchange(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
-        """Sanitized :meth:`Comm.exchange`."""
-        self._check("exchange")
-        return self.inner.exchange(outbox)
+        return super()._invoke(op, payload, root, reduce_op)

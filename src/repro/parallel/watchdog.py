@@ -37,10 +37,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.parallel.comm import Comm
-from repro.parallel.ops import SUM, ReduceOp
+from repro.parallel.comm import Comm, CommDecorator
+from repro.parallel.ops import ReduceOp
 from repro.parallel.sanitizer import reduce_op_name
 from repro.trace.tracer import current_phase_path
 
@@ -380,7 +380,7 @@ class HangWatchdog:
         return err_rank, HangError(msg, rank=offender, artifact=path)
 
 
-class WatchdogComm(Comm):
+class WatchdogComm(CommDecorator):
     """A :class:`Comm` decorator feeding heartbeats and the flight recorder.
 
     Stats alias the wrapped comm's; the decorator composes with the fault,
@@ -390,74 +390,23 @@ class WatchdogComm(Comm):
 
     def __init__(self, inner: Comm, watchdog: HangWatchdog) -> None:
         """Wrap ``inner`` so its operations report to ``watchdog``."""
-        self.inner = inner
+        super().__init__(inner)
         self.watchdog = watchdog
-        self.rank = inner.rank
-        self.size = inner.size
-        self.stats = inner.stats
 
-    def _run(self, op: str, detail: str, call: "Callable[[], Any]") -> Any:
-        """Heartbeat-bracket one delegated blocking operation."""
+    def _invoke(
+        self, op: str, payload: Any, root: Optional[int], reduce_op: Optional[ReduceOp]
+    ) -> Any:
+        """Heartbeat-bracket the delegated blocking operation."""
+        if root is not None:
+            detail = f"root={root}"
+        elif reduce_op is not None:
+            detail = f"op={reduce_op_name(reduce_op)}"
+        elif op == "exchange":
+            detail = f"dests={sorted(payload)}"
+        else:
+            detail = ""
         rec = self.watchdog.enter(self.rank, op, detail)
         try:
-            return call()
+            return super()._invoke(op, payload, root, reduce_op)
         finally:
             self.watchdog.exit(self.rank, rec)
-
-    # Collectives: heartbeat, delegate --------------------------------------
-
-    def barrier(self) -> None:
-        """Watched :meth:`Comm.barrier`."""
-        self._run("barrier", "", self.inner.barrier)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Watched :meth:`Comm.bcast`."""
-        return self._run("bcast", f"root={root}", lambda: self.inner.bcast(obj, root=root))
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Watched :meth:`Comm.gather`."""
-        return self._run(
-            "gather", f"root={root}", lambda: self.inner.gather(obj, root=root)
-        )
-
-    def scatter(self, objs: Optional[List[Any]], root: int = 0) -> Any:
-        """Watched :meth:`Comm.scatter`."""
-        return self._run(
-            "scatter", f"root={root}", lambda: self.inner.scatter(objs, root=root)
-        )
-
-    def allgather(self, obj: Any) -> List[Any]:
-        """Watched :meth:`Comm.allgather`."""
-        return self._run("allgather", "", lambda: self.inner.allgather(obj))
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Watched :meth:`Comm.allreduce`."""
-        return self._run(
-            "allreduce",
-            f"op={reduce_op_name(op)}",
-            lambda: self.inner.allreduce(value, op),
-        )
-
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Watched :meth:`Comm.exscan`."""
-        return self._run(
-            "exscan", f"op={reduce_op_name(op)}", lambda: self.inner.exscan(value, op)
-        )
-
-    def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Watched :meth:`Comm.scan`."""
-        return self._run(
-            "scan", f"op={reduce_op_name(op)}", lambda: self.inner.scan(value, op)
-        )
-
-    def alltoall(self, objs: List[Any]) -> List[Any]:
-        """Watched :meth:`Comm.alltoall`."""
-        return self._run("alltoall", "", lambda: self.inner.alltoall(objs))
-
-    def exchange(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
-        """Watched :meth:`Comm.exchange`."""
-        return self._run(
-            "exchange",
-            f"dests={sorted(outbox)}",
-            lambda: self.inner.exchange(outbox),
-        )

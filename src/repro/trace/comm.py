@@ -17,116 +17,34 @@ or not a run is traced, and decorators compose in any order.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional, Tuple
 
-from repro.parallel.comm import Comm
-from repro.parallel.ops import SUM, ReduceOp
+from repro.parallel.comm import Comm, CommDecorator
+from repro.parallel.ops import ReduceOp
 from repro.trace.tracer import Tracer
 
 
-class TracingComm(Comm):
+class TracingComm(CommDecorator):
     """A :class:`Comm` decorator routing per-op traffic into a tracer."""
 
     def __init__(self, inner: Comm, tracer: Tracer) -> None:
         """Wrap ``inner`` so its traffic is attributed to ``tracer``'s phases."""
-        self.inner = inner
+        super().__init__(inner)
         self.tracer = tracer
-        self.rank = inner.rank
-        self.size = inner.size
-        self.stats = inner.stats
 
-    def _snap(self, op: str) -> tuple:
-        """Snapshot the wrapped comm's counters for ``op``."""
+    def _counters(self, op: str) -> Tuple[int, int]:
+        """The wrapped comm's ``(messages, bytes_sent)`` so far for ``op``."""
         s = self.stats.ops.get(op)
-        if s is None:
-            return (0, 0)
-        return (s.messages, s.bytes_sent)
+        return (s.messages, s.bytes_sent) if s is not None else (0, 0)
 
-    def _commit(self, op: str, before: tuple, t0: float) -> None:
-        """Record the counter delta since ``before`` into the tracer."""
+    def _invoke(
+        self, op: str, payload: Any, root: Optional[int], reduce_op: Optional[ReduceOp]
+    ) -> Any:
+        """Delegate, then record ``op``'s counter delta and wall time."""
+        msgs0, bytes0 = self._counters(op)
+        t0 = time.perf_counter()
+        result = super()._invoke(op, payload, root, reduce_op)
         dt = time.perf_counter() - t0
-        s = self.stats.ops.get(op)
-        msgs = s.messages - before[0] if s is not None else 0
-        nbytes = s.bytes_sent - before[1] if s is not None else 0
-        self.tracer.record_comm(op, msgs, nbytes, seconds=dt)
-
-    # Collectives: snapshot, delegate, attribute ---------------------------
-
-    def barrier(self) -> None:
-        """Traced :meth:`Comm.barrier`."""
-        before = self._snap("barrier")
-        t0 = time.perf_counter()
-        self.inner.barrier()
-        self._commit("barrier", before, t0)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Traced :meth:`Comm.bcast`."""
-        before = self._snap("bcast")
-        t0 = time.perf_counter()
-        result = self.inner.bcast(obj, root=root)
-        self._commit("bcast", before, t0)
-        return result
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Traced :meth:`Comm.gather`."""
-        before = self._snap("gather")
-        t0 = time.perf_counter()
-        result = self.inner.gather(obj, root=root)
-        self._commit("gather", before, t0)
-        return result
-
-    def scatter(self, objs: Optional[List[Any]], root: int = 0) -> Any:
-        """Traced :meth:`Comm.scatter`."""
-        before = self._snap("scatter")
-        t0 = time.perf_counter()
-        result = self.inner.scatter(objs, root=root)
-        self._commit("scatter", before, t0)
-        return result
-
-    def allgather(self, obj: Any) -> List[Any]:
-        """Traced :meth:`Comm.allgather`."""
-        before = self._snap("allgather")
-        t0 = time.perf_counter()
-        result = self.inner.allgather(obj)
-        self._commit("allgather", before, t0)
-        return result
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Traced :meth:`Comm.allreduce`."""
-        before = self._snap("allreduce")
-        t0 = time.perf_counter()
-        result = self.inner.allreduce(value, op)
-        self._commit("allreduce", before, t0)
-        return result
-
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Traced :meth:`Comm.exscan`."""
-        before = self._snap("exscan")
-        t0 = time.perf_counter()
-        result = self.inner.exscan(value, op)
-        self._commit("exscan", before, t0)
-        return result
-
-    def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Traced :meth:`Comm.scan`."""
-        before = self._snap("scan")
-        t0 = time.perf_counter()
-        result = self.inner.scan(value, op)
-        self._commit("scan", before, t0)
-        return result
-
-    def alltoall(self, objs: List[Any]) -> List[Any]:
-        """Traced :meth:`Comm.alltoall`."""
-        before = self._snap("alltoall")
-        t0 = time.perf_counter()
-        result = self.inner.alltoall(objs)
-        self._commit("alltoall", before, t0)
-        return result
-
-    def exchange(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
-        """Traced :meth:`Comm.exchange`."""
-        before = self._snap("exchange")
-        t0 = time.perf_counter()
-        result = self.inner.exchange(outbox)
-        self._commit("exchange", before, t0)
+        msgs, nbytes = self._counters(op)
+        self.tracer.record_comm(op, msgs - msgs0, nbytes - bytes0, seconds=dt)
         return result

@@ -3,15 +3,13 @@
 The registry (:mod:`repro.parallel.collectives`) is the single source
 of truth for what counts as a collective.  These tests pin the three
 consumers to it: the ``Comm`` ABC and ``Forest`` surfaces must carry
-matching ``@collective`` stamps, the runtime sanitizer must check
+matching ``@collective`` stamps, the runtime sanitizer must sign
 exactly the registry's comm ops, and the lint registry must mirror the
 same name sets — so a collective added to one place without the others
 fails here rather than silently drifting.
 """
 
-import ast
 import inspect
-from pathlib import Path
 
 from repro.analysis.registry import DEFAULT_REGISTRY
 from repro.p4est.forest import Forest
@@ -24,18 +22,12 @@ from repro.parallel.collectives import (
     UNIFORM_RESULT_OPS,
     collective_spec,
 )
-from repro.parallel.comm import Comm
+from repro.parallel.comm import Comm, SerialComm
+from repro.parallel.ops import SUM
+from repro.parallel.sanitizer import SanitizedComm
 
 COMM_BY_NAME = {s.name: s for s in COMM_COLLECTIVES}
 FOREST_BY_NAME = {s.name: s for s in FOREST_COLLECTIVES}
-
-SANITIZER = (
-    Path(__file__).resolve().parents[2]
-    / "src"
-    / "repro"
-    / "parallel"
-    / "sanitizer.py"
-)
 
 
 def test_comm_abc_methods_carry_registry_stamps():
@@ -68,22 +60,42 @@ def test_forest_collectives_carry_registry_stamps():
         assert stamped is spec, f"Forest.{name} missing/mismatched @collective"
 
 
+class _RecordingState:
+    """A ``SanitizerState`` stand-in that keeps every signature it is shown."""
+
+    size = 1
+
+    def __init__(self):
+        self.signatures = []
+
+    def check(self, rank, seq, sig):
+        self.signatures.append(sig)
+
+
 def test_sanitizer_checks_exactly_the_registry_ops():
-    """Every ``_check("op")`` string in the sanitizer is a registry op,
-    and every registry comm op (bar the derived ``reduce``, which the
-    sanitizer sees as its gather+bcast expansion) is checked."""
-    tree = ast.parse(SANITIZER.read_text())
-    checked = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_check"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-        ):
-            checked.add(node.args[0].value)
-    assert checked == COMM_COLLECTIVE_NAMES - {"reduce"}
+    """Driving every registry comm op through ``SanitizedComm`` signs
+    exactly the primitives (the derived ``reduce`` shows up as the
+    ``allreduce`` it expands to), and only the payload-checked ops carry
+    a payload fingerprint."""
+    state = _RecordingState()
+    comm = SanitizedComm(SerialComm(), state)
+    args = {
+        "barrier": (),
+        "scatter": ([1],),
+        "alltoall": ([1],),
+        "exchange": ({0: 1},),
+        "allreduce": (1, SUM),
+        "exscan": (1, SUM),
+        "scan": (1, SUM),
+        "reduce": (1, SUM),
+    }
+    for name in sorted(COMM_COLLECTIVE_NAMES):
+        getattr(comm, name)(*args.get(name, (1,)))
+    assert {sig.op for sig in state.signatures} == COMM_COLLECTIVE_NAMES - {"reduce"}
+    assert len(state.signatures) == len(COMM_COLLECTIVE_NAMES)
+    assert {
+        sig.op for sig in state.signatures if sig.payload is not None
+    } == PAYLOAD_CHECKED_OPS
 
 
 def test_sanitizer_payload_set_is_the_registry_view():

@@ -9,6 +9,7 @@ from repro.apps.advection.fronts import (
     rotate_points,
     rotation_velocity,
 )
+from repro.mangll.geometry import element_centers
 from repro.parallel import SerialComm
 from tests.parallel.helpers import run as spmd
 
@@ -81,7 +82,7 @@ def test_adapted_mesh_tracks_moving_fronts():
     run = AdvectionRun(SerialComm(), cfg)
     run.run(cfg.adapt_every)
     # After adaptation, fine elements concentrate near the fronts.
-    centers = run._element_centers()
+    centers = element_centers(run.forest.local, run.geometry)
     d = run.fronts.front_distance(centers, run.t)
     fine = run.forest.local.level == cfg.max_level
     assert fine.any()

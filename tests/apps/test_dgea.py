@@ -11,7 +11,7 @@ from repro.apps.dgea.elastic import (
     voigt_pairs,
 )
 from repro.apps.dgea.prem import CMB_RADIUS_KM, EARTH_RADIUS_KM, PREM
-from repro.mangll.geometry import MultilinearGeometry
+from repro.mangll.geometry import MultilinearGeometry, element_centers
 from repro.mangll.mesh import build_mesh
 from repro.mangll.op import DGOperator, MeshContext
 from repro.mangll.rk import lsrk45_step
@@ -219,7 +219,7 @@ def test_seismic_meshing_adapts_to_velocity():
     # (the Fig. 8 "mesh adapted to the size of spatially-variable
     # wavelengths" behaviour).
     levels = run.forest.local.level
-    centers = run._element_centers()
+    centers = element_centers(run.forest.local, run.geometry)
     r = np.linalg.norm(centers, axis=1)
     shallow = r > 0.9
     deep = r < 0.75

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.dgea.driver import SeismicConfig, SeismicRun
 from repro.apps.dgea.elastic import ElasticModel, homogeneous_material
-from repro.mangll.geometry import MultilinearGeometry
+from repro.mangll.geometry import MultilinearGeometry, element_centers
 from repro.mangll.mesh import build_mesh
 from repro.mangll.op import DGOperator, MeshContext
 from repro.mangll.rk import lsrk45_step
@@ -47,7 +47,7 @@ def test_wavefront_tracking_refines_near_source():
     e_after = run.total_energy()
     assert e_after == pytest.approx(e_before, rel=0.2)
     # Fine elements cluster near the source (where the wavefront is).
-    centers = run._element_centers()
+    centers = element_centers(run.forest.local, run.geometry)
     d = np.linalg.norm(centers - src, axis=1)
     fine = run.forest.local.level == run.forest.local.level.max()
     assert d[fine].mean() < d[~fine].mean()

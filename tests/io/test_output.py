@@ -1,6 +1,7 @@
 """Tests for VTK and SVG output."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def test_vtk_2d(tmp_path):
     path = str(tmp_path / "square.vtk")
     out = write_vtk(path, forest, MultilinearGeometry(conn))
     assert out == path
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "UNSTRUCTURED_GRID" in text
     assert f"CELLS {forest.global_count}" in text
     assert "SCALARS level" in text
@@ -37,7 +38,7 @@ def test_vtk_3d_shell_with_data(tmp_path):
         ShellGeometry(),
         cell_data={"radius": np.linspace(0, 1, forest.local_count)},
     )
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "SCALARS radius" in text
     assert "CELL_TYPES 192" in text
 
@@ -52,7 +53,7 @@ def test_vtk_parallel_gather(tmp_path):
 
     out = spmd(3, prog)
     assert out[0] == path and out[1] is None
-    assert "CELLS 16" in open(path).read()
+    assert "CELLS 16" in Path(path).read_text()
 
 
 def test_vtk_per_rank_files(tmp_path):
@@ -78,7 +79,7 @@ def test_svg_moebius(tmp_path):
 
     out = spmd(3, prog)
     assert out[0] == path
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.count("<polygon") == 5 * 16
     assert "<path" in text  # the space-filling curve overlay
 

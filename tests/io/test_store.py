@@ -11,6 +11,7 @@ exactly that, alongside the retention/retry/reuse mechanics.
 
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ def test_bit_rot_at_any_offset_falls_back_not_lies(tmp_path, victim):
     store.save(_payload(1))  # the intact fallback generation
     store.save(_payload(2))  # the generation we are about to rot
     path = _newest_file(store, victim)
-    pristine = open(path, "rb").read()
+    pristine = Path(path).read_bytes()
     for offset in _every_offset(len(pristine)):
         rotted = bytearray(pristine)
         rotted[offset] ^= 0xFF
@@ -248,7 +249,7 @@ def test_truncation_at_any_offset_falls_back_not_lies(tmp_path):
     store.save(_payload(1))
     store.save(_payload(2))
     path = _newest_file(store, "payload.pkl")
-    pristine = open(path, "rb").read()
+    pristine = Path(path).read_bytes()
     for cut in _every_offset(len(pristine)):
         with open(path, "wb") as f:
             f.write(pristine[:cut])
@@ -266,7 +267,7 @@ def test_forest_generation_bit_rot_falls_back(tmp_path):
     ckpt = checkpoint.save(forest)
     store.save(ckpt)
     path = _newest_file(store, "forest.npz")
-    pristine = open(path, "rb").read()
+    pristine = Path(path).read_bytes()
     for offset in _every_offset(len(pristine), stride=31):
         rotted = bytearray(pristine)
         rotted[offset] ^= 0xFF

@@ -6,9 +6,8 @@ interpreted reference (``np.array_equal``, no tolerance), because the
 compiler only applies transforms proven to preserve IEEE semantics
 (see docs/KERNELS.md).  On top of that the suite pins the cache
 behaviour (memory/disk hits, stale-fingerprint regeneration, racing
-writers), the communication-freedom guard, the deprecation shims on
-the legacy constructors, and the ``RunConfig(compile=...)`` mode
-plumbing across SPMD ranks.
+writers), the communication-freedom guard, and that ``compile=`` on the
+spec is the only execution-mode switch.
 """
 
 import threading
@@ -32,8 +31,6 @@ from repro.mangll.op import (
     DGOperator,
     MeshContext,
     TransferOperator,
-    get_default_mode,
-    set_default_mode,
     transfer_fields,
 )
 from repro.p4est.balance import balance
@@ -339,21 +336,7 @@ def test_communication_guard_rejects_comm_calls():
     assert_communication_free("def kernel(q):\n    return q * 2\n", "ok-key")
 
 
-# --- deprecation shims ------------------------------------------------------
-
-
-def test_legacy_constructors_warn():
-    from repro.mangll.cgops import CGSpace
-    from repro.mangll.dg import DGSolver
-    from repro.mangll.dgops import DGSpace
-
-    ctx = make_ctx(2, 2, ln_too=True)
-    space = DGSpace(ctx.forest, ctx.ghost, ctx.mesh, 2)
-    model = make_model("advection", 2)
-    with pytest.warns(DeprecationWarning, match="DGSolver.*deprecated.*DGOperator"):
-        DGSolver(space, model, ctx.comm)
-    with pytest.warns(DeprecationWarning, match="CGSpace.*deprecated.*CGOperator"):
-        CGSpace(ctx.mesh, ctx.ln, ctx.comm)
+# --- op frontend surface ----------------------------------------------------
 
 
 def test_op_frontend_does_not_warn():
@@ -364,9 +347,6 @@ def test_op_frontend_does_not_warn():
         DGOperator(make_model("advection", 2), 2, compile=False).bind(ctx)
         CGOperator(2).bind(ctx)
         CGOperator(2, compile=False).bind(ctx)
-
-
-# --- op frontend surface ----------------------------------------------------
 
 
 def test_bound_dg_operator_is_collective_stamped():
@@ -397,35 +377,21 @@ def test_dg_operator_rejects_degree_mismatch():
 
 
 def test_run_config_compile_flag_validation():
-    with pytest.raises(TypeError, match="compile"):
-        RunConfig(size=1, compile="yes")
+    # The spec's ``compile=`` is the one switch; RunConfig has no such field.
+    for value in ("yes", True):
+        with pytest.raises(TypeError, match="compile"):
+            RunConfig(size=1, compile=value)
 
 
-def test_set_default_mode_roundtrip():
-    assert get_default_mode() == "compiled"
-    prev = set_default_mode("interpreted")
-    try:
-        assert prev == "compiled" and get_default_mode() == "interpreted"
-        ctx = make_ctx(2, 2)
-        assert DGOperator(make_model("advection", 2), 2).bind(ctx)._kernel is None
-        with pytest.raises(ValueError):
-            set_default_mode("jit")
-    finally:
-        set_default_mode("compiled")
+def test_bound_cg_operator_is_a_cg_space():
+    from repro.mangll.cgops import CGSpace
+    from repro.mangll.op import BoundCGOperator
 
-
-def test_run_config_compile_sets_mode_per_rank():
-    from tests.parallel.helpers import run as spmd
-
-    def prog(comm, expect):
-        from repro.mangll.op import get_default_mode
-
-        return get_default_mode() == expect
-
-    for flag, expect in ((True, "compiled"), (False, "interpreted")):
-        assert all(spmd(3, prog, expect, compile=flag))
-    # Outside a run the process default is untouched.
-    assert get_default_mode() == "compiled"
+    ctx = make_ctx(2, 2, ln_too=True)
+    assert isinstance(CGOperator(2).bind(ctx), CGSpace)
+    # Only the two element kernels are overridden; the rest is inherited.
+    own = {n for n, v in vars(BoundCGOperator).items() if callable(v) and not n.startswith("_")}
+    assert own == {"elem_laplacian", "elem_mass"}
 
 
 def test_compiled_rhs_matches_interpreted_across_ranks():

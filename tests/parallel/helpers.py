@@ -37,12 +37,12 @@ def launch(size, fn, *args, store=None, **cfg_kwargs):
 
 
 def run(size, fn, *args, **cfg_kwargs):
-    """Run ``fn`` and return the per-rank values (old ``spmd_run`` shape)."""
+    """Run ``fn`` and return the per-rank values."""
     return launch(size, fn, *args, **cfg_kwargs).values
 
 
 def run_report(size, fn, *args, **cfg_kwargs):
-    """Run ``fn`` and return its report (old ``spmd_run_detailed`` shape)."""
+    """Run ``fn`` and return its :class:`SpmdReport`."""
     return launch(size, fn, *args, **cfg_kwargs).report
 
 

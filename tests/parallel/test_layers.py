@@ -1,14 +1,16 @@
 """Layer-stack conformance: every decorator forwards the full Comm ABC.
 
-PR 1-3 let the decorators drift apart from the :class:`Comm` interface
-(methods added to the ABC but not to every wrapper).  These tests pin
-the contract: a mock communicator records every delegated call, each
-decorator is driven through the complete ABC, and the call log must come
-back exactly — same operations, same payloads, same roots.  A separate
-test asserts the drive list covers ``Comm.__abstractmethods__``, so
-adding a collective without extending the decorators (or this test)
-fails loudly.
+:class:`CommDecorator` is the one class that forwards the collectives;
+every layer overrides only its ``_invoke`` hook.  These tests pin that
+structure — no decorator re-declares a collective — and the behaviour:
+a mock communicator records every delegated call, every
+``CommDecorator`` subclass in the repo (the fault campaign's recorder
+included) is driven through the complete ABC, and the call log must come
+back exactly — same operations, same payloads, same roots.
 """
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from repro.parallel import (
     WatchdogComm,
     wrap_comm,
 )
-from repro.parallel.comm import Comm
+from repro.parallel.comm import Comm, CommDecorator
 from repro.parallel.layers import CommLayer, LayerContext, find_layer, normalize_layers
 from repro.parallel.sanitizer import SanitizerState
 from repro.parallel.stats import CommStats
@@ -122,18 +124,43 @@ def _attached_watchdog():
     return wd
 
 
-@pytest.mark.parametrize(
-    "decorate",
-    [
-        pytest.param(lambda c: FaultyComm(c, FaultPlan([])), id="FaultyComm"),
-        pytest.param(lambda c: SanitizedComm(c, SanitizerState(1)), id="SanitizedComm"),
-        pytest.param(lambda c: WatchdogComm(c, _attached_watchdog()), id="WatchdogComm"),
-        pytest.param(lambda c: TracingComm(c, Tracer(0)), id="TracingComm"),
-    ],
-)
-def test_decorator_forwards_every_operation(decorate):
+def _fault_campaign():
+    """``tools/fault_campaign.py`` as a module (it defines ``_RecordingComm``)."""
+    path = Path(__file__).resolve().parents[2] / "tools" / "fault_campaign.py"
+    spec = importlib.util.spec_from_file_location("fault_campaign_tool", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+_CAMPAIGN = _fault_campaign()
+
+#: How to build each decorator over a mock; keyed by class so a new
+#: ``CommDecorator`` subclass without an entry fails the census below.
+DECORATE = {
+    FaultyComm: lambda c: FaultyComm(c, FaultPlan([])),
+    SanitizedComm: lambda c: SanitizedComm(c, SanitizerState(1)),
+    WatchdogComm: lambda c: WatchdogComm(c, _attached_watchdog()),
+    TracingComm: lambda c: TracingComm(c, Tracer(0)),
+    _CAMPAIGN._RecordingComm: lambda c: _CAMPAIGN._RecordingComm(
+        c, _CAMPAIGN.RecordingWrapper()
+    ),
+}
+
+
+def test_every_decorator_subclass_is_driven():
+    # By name: another test may have loaded the campaign tool a second time.
+    assert {c.__name__ for c in CommDecorator.__subclasses__()} == {
+        c.__name__ for c in DECORATE
+    }
+
+
+@pytest.mark.parametrize("cls", list(DECORATE), ids=lambda c: c.__name__)
+def test_decorator_forwards_every_operation(cls):
+    # Structural: the collectives are CommDecorator's, never re-declared.
+    assert not set(vars(cls)) & (Comm.__abstractmethods__ | {"reduce"})
     mock = MockComm()
-    wrapped = decorate(mock)
+    wrapped = DECORATE[cls](mock)
     drive(wrapped)
     assert mock.calls == ALL_OPS
     # Stats alias the wrapped comm's: metering is decorator-agnostic.

@@ -202,7 +202,8 @@ def test_warm_replacement_recovers_in_place(tmp_path):
     # The watchdog dumped a flight-recorder artifact for the replacement.
     dumps = [a for a in rec.artifacts if os.path.exists(a)]
     assert dumps
-    payload = json.load(open(dumps[0]))
+    with open(dumps[0]) as f:
+        payload = json.load(f)
     assert payload["reason"] == "replacement"
     assert payload["dead_ranks"] == [1]
     assert payload["rollback_generation"] == 1

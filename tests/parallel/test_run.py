@@ -1,4 +1,4 @@
-"""Tests for the RunConfig/Machine launch API and the deprecated shims."""
+"""Tests for the RunConfig/Machine launch API."""
 
 import pytest
 
@@ -9,15 +9,11 @@ from repro.parallel import (
     FaultyComm,
     Machine,
     ProcessBackend,
-    ResilientResult,
     RunConfig,
     Sanitize,
     Trace,
     Watchdog,
     get_backend,
-    spmd_run,
-    spmd_run_detailed,
-    spmd_run_resilient,
 )
 
 
@@ -118,53 +114,6 @@ def test_process_backend_validates_options():
         ProcessBackend(start_method="teleport")
     with pytest.raises(ValueError):
         ProcessBackend(shm_threshold_bytes=-1)
-
-
-# Deprecated shims -----------------------------------------------------------
-
-
-def test_spmd_run_shim_warns_and_delegates():
-    with pytest.deprecated_call(match="RunConfig"):
-        out = spmd_run(3, lambda c: c.allreduce(1))
-    assert out == [3, 3, 3]
-
-
-def test_spmd_run_detailed_shim_warns_and_delegates():
-    with pytest.deprecated_call(match="RunConfig"):
-        report = spmd_run_detailed(2, lambda c: (c.barrier(), c.rank)[1])
-    assert report.values == [0, 1]
-    assert report.merged_stats().ops["barrier"].calls == 2
-
-
-def test_spmd_run_resilient_shim_warns_and_delegates():
-    plan = FaultPlan.crash(rank=1, at_call=3)
-
-    def wrapper(comm, attempt):
-        return FaultyComm(comm, plan) if attempt == 0 else comm
-
-    def prog(comm, store):
-        acc = store.load() or 0
-        for _ in range(4):
-            acc += comm.allreduce(1)
-            store.save(acc if comm.rank == 0 else None)
-        return acc
-
-    with pytest.deprecated_call(match="RunConfig"):
-        result = spmd_run_resilient(2, prog, comm_wrapper=wrapper, max_retries=2)
-    assert isinstance(result, ResilientResult)
-    assert result.recovery.recoveries == 1
-    assert result.recovery.ranks_lost == [1]
-    assert result.values[0] == result.values[1]
-
-
-def test_shims_match_new_api_results():
-    def prog(comm):
-        return comm.exscan(comm.rank + 1)
-
-    with pytest.deprecated_call():
-        old = spmd_run(4, prog)
-    new = Machine(RunConfig(size=4)).run(prog).values
-    assert old == new
 
 
 def test_attempt_offset_shifts_the_layer_attempt_index():

@@ -19,7 +19,7 @@ from repro.solvers.krylov import cg
 def poisson_2d(n):
     """Standard 5-point Laplacian on an n x n grid (Dirichlet)."""
     I = sp.identity(n)
-    T = sp.diags([-1, 2, -1], [-1, 0, 1], shape=(n, n))
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
     return (sp.kron(I, T) + sp.kron(T, I)).tocsr()
 
 

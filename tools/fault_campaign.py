@@ -79,9 +79,9 @@ from repro.parallel import (
     SpmdError,
     Watchdog,
 )
-from repro.parallel.comm import Comm
+from repro.parallel.comm import Comm, CommDecorator
 from repro.parallel.faults import CORRUPT, CRASH, DELAY, DIE, SLOW, TRUNCATE, Fault
-from repro.parallel.ops import SUM, ReduceOp
+from repro.parallel.ops import ReduceOp
 from repro.service import (
     DeadlineExceededError,
     ForestService,
@@ -187,70 +187,21 @@ def scenario(comm: Comm, store: Any, golden: Optional[Dict[str, list]] = None):
 # Recording pass --------------------------------------------------------------
 
 
-class _RecordingComm(Comm):
+class _RecordingComm(CommDecorator):
     """A :class:`Comm` decorator that enumerates this rank's call sites."""
 
     def __init__(self, inner: Comm, recorder: "RecordingWrapper") -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.recorder = recorder
-        self.rank = inner.rank
-        self.size = inner.size
-        self.stats = inner.stats
         self.calls = 0
 
-    def _note(self, op: str) -> None:
+    def _invoke(
+        self, op: str, payload: Any, root: Optional[int], reduce_op: Optional[ReduceOp]
+    ) -> Any:
+        """Log the call site, then delegate."""
         self.recorder.note(self.rank, self.calls, op, current_phase_path())
         self.calls += 1
-
-    def barrier(self) -> None:
-        """Recorded :meth:`Comm.barrier`."""
-        self._note("barrier")
-        self.inner.barrier()
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Recorded :meth:`Comm.bcast`."""
-        self._note("bcast")
-        return self.inner.bcast(obj, root=root)
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Recorded :meth:`Comm.gather`."""
-        self._note("gather")
-        return self.inner.gather(obj, root=root)
-
-    def scatter(self, objs: Optional[List[Any]], root: int = 0) -> Any:
-        """Recorded :meth:`Comm.scatter`."""
-        self._note("scatter")
-        return self.inner.scatter(objs, root=root)
-
-    def allgather(self, obj: Any) -> List[Any]:
-        """Recorded :meth:`Comm.allgather`."""
-        self._note("allgather")
-        return self.inner.allgather(obj)
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Recorded :meth:`Comm.allreduce`."""
-        self._note("allreduce")
-        return self.inner.allreduce(value, op)
-
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Recorded :meth:`Comm.exscan`."""
-        self._note("exscan")
-        return self.inner.exscan(value, op)
-
-    def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Recorded :meth:`Comm.scan`."""
-        self._note("scan")
-        return self.inner.scan(value, op)
-
-    def alltoall(self, objs: List[Any]) -> List[Any]:
-        """Recorded :meth:`Comm.alltoall`."""
-        self._note("alltoall")
-        return self.inner.alltoall(objs)
-
-    def exchange(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
-        """Recorded :meth:`Comm.exchange`."""
-        self._note("exchange")
-        return self.inner.exchange(outbox)
+        return super()._invoke(op, payload, root, reduce_op)
 
 
 class RecordingWrapper:
