@@ -245,6 +245,31 @@ def test_rhea_box2d_runs_picard_and_adapts():
     assert all(r.converged for r in run.stokes_history)
 
 
+def test_picard_iteration_counts_pinned():
+    """Literals recorded from the scalar solver layer (commit a7537a3);
+    solver-layer optimizations must keep the mathematics, so these are
+    never regenerated alongside a change to the code they pin."""
+    run = RheaRun(SerialComm(), RheaConfig(base_level=1, max_level=1))
+    iterations, rms = [], []
+    for step in range(4):
+        if step == 2:
+            run.adapt()
+        result = run.picard_step()
+        assert result.converged
+        iterations.append(result.iterations)
+        rms.append(run.velocity_rms())
+    assert iterations == [35, 55, 35, 55]
+    assert rms == pytest.approx(
+        [
+            0.0012474734719414811,
+            0.010556842737709068,
+            0.0012474734719414807,
+            0.010556842737710953,
+        ],
+        rel=1e-8,
+    )
+
+
 def test_rhea_shell_setup_refines_plates():
     cfg = RheaConfig(domain="shell", base_level=1, max_level=2, stokes_maxiter=2)
     run = RheaRun(SerialComm(), cfg)
