@@ -44,6 +44,7 @@ def main():
             f"V-cycles {res.vcycles:4d}, residual {res.residuals[-1]:.2e}, "
             f"|u|_rms {run.velocity_rms():.3e}"
         )
+        print(f"   AMG level sizes (no-slip rows excluded): {res.amg_sizes}")
         if run.picard_count % cfg.picard_per_adapt == 0:
             run.adapt()
             print(f"   dynamic adapt -> {run.forest.global_count} elements")

@@ -163,11 +163,7 @@ class RheaRun:
 
     def _element_T(self) -> np.ndarray:
         """Temperature at element geometric nodes (nelem, npts)."""
-        en = self.ln.element_nodes
-        out = np.empty((self.mesh.nelem_local, self.cgs.npts))
-        for e in range(self.mesh.nelem_local):
-            out[e] = self.cgs.element_R(e) @ self.T[en[e]]
-        return out
+        return self.cgs.element_values(self.T)
 
     def viscosity_field(self) -> np.ndarray:
         """Nodal-per-element viscosity from the current T and strain rate."""
@@ -273,14 +269,14 @@ class RheaRun:
         nloc = self.ln.num_local_nodes
         acc = np.zeros(nloc)
         cnt = np.zeros(nloc)
-        en = self.ln.element_nodes
+        nelem = self.mesh.nelem_local
+        ident = np.ones((nelem, self.cgs.npts), dtype=bool)
         eye = np.eye(self.cgs.npts)
-        for e in range(self.mesh.nelem_local):
-            R = self.cgs.element_R(e)
-            ident = np.abs(R - eye).sum(axis=1) < 1e-12
-            ids = en[e][ident]
-            np.add.at(acc, ids, q_elem[e][ident])
-            np.add.at(cnt, ids, 1.0)
+        for elems, R in self.cgs.constraint_groups():
+            ident[elems] = np.abs(R - eye).sum(axis=1) < 1e-12
+        ids = self.ln.element_nodes[:nelem][ident]
+        np.add.at(acc, ids, q_elem[:nelem][ident])
+        np.add.at(cnt, ids, 1.0)
         acc = self.ln.scatter_reverse_add(self.comm, acc)
         cnt = self.ln.scatter_reverse_add(self.comm, cnt)
         return acc / np.maximum(cnt, 1.0)

@@ -37,36 +37,28 @@ def supg_energy_rhs(
     """
     from repro.apps.rhea.stokes import StokesProblem
 
-    d = cgs.dim
     nl = cgs.mesh.nelem_local
-    npts = cgs.npts
-    sp_helper = StokesProblem(cgs)
-    PG, wdet = sp_helper._physical_gradients()
-    en = cgs.ln.element_nodes
+    PG, wdet = StokesProblem(cgs)._physical_gradients()
+    h = cgs.mesh.element_volumes()[:nl] ** (1.0 / cgs.dim)
 
-    h = cgs.mesh.element_volumes()[:nl] ** (1.0 / d)
-    rhs = np.zeros(cgs.ln.num_local_nodes)
-    mass = np.zeros(cgs.ln.num_local_nodes)
-    for e in range(nl):
-        R = cgs.element_R(e)
-        Te = R @ T[en[e]]
-        ue = R @ u[en[e]]
-        gradT = np.einsum("qjc,j->qc", PG[e], Te)
-        adv = np.einsum("qc,qc->q", ue, gradT)  # v . grad T at nodes
-        speed = np.linalg.norm(ue, axis=1)
-        tau = h[e] / np.maximum(2.0 * speed, 1e-12)
-        tau = np.where(speed > 1e-10, tau, 0.0)
-        src = R @ source[en[e]] if source is not None else 0.0
-        resid = adv - src
-        # Galerkin advection + source (collocated) ...
-        re = -wdet[e] * resid
-        # ... SUPG streamline term ...
-        vgphi = np.einsum("qc,qjc->qj", ue, PG[e])  # v.grad phi_j at q
-        re -= vgphi.T @ (wdet[e] * tau * resid)
-        # ... and diffusion (integrated by parts).
-        re -= kappa * np.einsum("qjc,qc->j", PG[e], wdet[e][:, None] * gradT)
-        np.add.at(rhs, en[e], R.T @ re)
-        np.add.at(mass, en[e], R.T @ wdet[e])
+    Te = cgs.element_values(T)
+    ue = cgs.element_values(u)
+    gradT = np.einsum("eqjc,ej->eqc", PG, Te)
+    adv = np.einsum("eqc,eqc->eq", ue, gradT)  # v . grad T at nodes
+    speed = np.linalg.norm(ue, axis=2)
+    tau = h[:, None] / np.maximum(2.0 * speed, 1e-12)
+    tau = np.where(speed > 1e-10, tau, 0.0)
+    src = cgs.element_values(source) if source is not None else 0.0
+    resid = adv - src
+    # Galerkin advection + source (collocated) ...
+    re = -wdet * resid
+    # ... SUPG streamline term ...
+    vgphi = np.einsum("eqc,eqjc->eqj", ue, PG)  # v.grad phi_j at q
+    re -= np.einsum("eqj,eq->ej", vgphi, wdet * tau * resid)
+    # ... and diffusion (integrated by parts).
+    re -= kappa * np.einsum("eqjc,eqc->ej", PG, wdet[..., None] * gradT)
+    rhs = cgs.assemble_vector(re)
+    mass = cgs.assemble_vector(wdet)
 
     rhs = cgs.ln.scatter_reverse_add(cgs.comm, rhs)
     mass = cgs.ln.scatter_reverse_add(cgs.comm, mass)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.mangll.cgops import CGSpace, gradient_matrices
+from repro.mangll.cgops import CGSpace, eliminate_dirichlet, gradient_matrices
 from repro.solvers.amg import smoothed_aggregation
 from repro.solvers.krylov import minres
 from repro.trace.tracer import PHASE_SOLVE, PHASE_VCYCLE, phase, traced
@@ -40,6 +40,9 @@ class StokesResult:
     converged: bool
     residuals: list
     vcycles: int
+    # Rows of each AMG level the solve used, the dense coarsest one last.
+    amg_sizes: List[int] = field(default_factory=list)
+    # "assemble" includes "eliminate"; "solve_total" = "vcycle" + "krylov_other".
     timings: Dict[str, float] = field(default_factory=dict)
 
 
@@ -104,49 +107,12 @@ class StokesProblem:
         """Assembled (A, B, C, f) over local node ids with hanging
         constraints applied element-wise."""
         cgs = self.cgs
-        d, npts = self.dim, self.npts
-        nl = cgs.mesh.nelem_local
-        nloc = cgs.ln.num_local_nodes
+        d = self.dim
         K, Be, Ce, fe = self.element_matrices(eta, force)
-        Id = np.eye(d)
-
-        rows_A, cols_A, vals_A = [], [], []
-        rows_B, cols_B, vals_B = [], [], []
-        rows_C, cols_C, vals_C = [], [], []
-        fvec = np.zeros(nloc * d)
-        en = cgs.ln.element_nodes
-        for e in range(nl):
-            R = cgs.element_R(e)
-            Rv = np.kron(R, Id)
-            Ke = Rv.T @ K[e] @ Rv
-            Bee = R.T @ Be[e] @ Rv
-            Cee = R.T @ Ce[e] @ R
-            fee = Rv.T @ fe[e]
-            ids = en[e]
-            vids = (ids[:, None] * d + np.arange(d)[None, :]).ravel()
-            rows_A.append(np.repeat(vids, npts * d))
-            cols_A.append(np.tile(vids, npts * d))
-            vals_A.append(Ke.ravel())
-            rows_B.append(np.repeat(ids, npts * d))
-            cols_B.append(np.tile(vids, npts))
-            vals_B.append(Bee.ravel())
-            rows_C.append(np.repeat(ids, npts))
-            cols_C.append(np.tile(ids, npts))
-            vals_C.append(Cee.ravel())
-            np.add.at(fvec, vids, fee)
-
-        A = sp.coo_matrix(
-            (np.concatenate(vals_A), (np.concatenate(rows_A), np.concatenate(cols_A))),
-            shape=(nloc * d, nloc * d),
-        ).tocsr()
-        B = sp.coo_matrix(
-            (np.concatenate(vals_B), (np.concatenate(rows_B), np.concatenate(cols_B))),
-            shape=(nloc, nloc * d),
-        ).tocsr()
-        C = sp.coo_matrix(
-            (np.concatenate(vals_C), (np.concatenate(rows_C), np.concatenate(cols_C))),
-            shape=(nloc, nloc),
-        ).tocsr()
+        A = cgs.assemble_matrix(K, d, d)
+        B = cgs.assemble_matrix(Be, 1, d)
+        C = cgs.assemble_matrix(Ce)
+        fvec = cgs.assemble_vector(fe.reshape(-1, self.npts, d)).ravel()
         return A, B, C, fvec
 
     # --- solve ------------------------------------------------------------------------
@@ -179,19 +145,12 @@ class StokesProblem:
         fixed = np.asarray(fixed_velocity, dtype=bool).reshape(nloc * d)
 
         # Symmetric elimination of fixed (zero) velocity components.
-        keepm = ~fixed
-        A = A.tolil()
-        ii = np.flatnonzero(fixed)
-        A[ii, :] = 0.0
-        A[:, ii] = 0.0
-        for i in ii:
-            A[i, i] = 1.0
-        A = A.tocsr()
-        B = B.tolil()
-        B[:, ii] = 0.0
-        B = B.tocsr()
-        f = f.copy()
+        t_elim = time.perf_counter()
+        A = eliminate_dirichlet(A, fixed)
+        B = sp.csr_matrix(B @ sp.diags((~fixed).astype(np.float64)))
+        B.eliminate_zeros()
         f[fixed] = 0.0
+        t_eliminate = time.perf_counter() - t_elim
         t_assemble = time.perf_counter() - t0
 
         K = sp.bmat([[A, B.T], [B, -C]], format="csr")
@@ -204,13 +163,8 @@ class StokesProblem:
         # Pressure block: lumped mass weighted by 1/eta -> its inverse is
         # the paper's (2,2) preconditioner.
         m = self.cgs.mesh
-        nl = m.nelem_local
-        wdet = m.detj[:nl] * m.weights[None, :]
-        mass_over_eta = np.zeros(nloc)
-        inv_eta = wdet / np.maximum(eta, 1e-300)
-        for e in range(nl):
-            R = cgs.element_R(e)
-            np.add.at(mass_over_eta, cgs.ln.element_nodes[e], R.T @ inv_eta[e])
+        wdet = m.detj[: m.nelem_local] * m.weights[None, :]
+        mass_over_eta = cgs.assemble_vector(wdet / np.maximum(eta, 1e-300))
         mass_over_eta = np.maximum(mass_over_eta, 1e-300)
 
         nv = nloc * d
@@ -248,8 +202,10 @@ class StokesProblem:
             converged=res.converged,
             residuals=res.residuals,
             vcycles=ml.cycles_applied,
+            amg_sizes=ml.level_sizes,
             timings={
                 "assemble": t_assemble,
+                "eliminate": t_eliminate,
                 "amg_setup": t_amg_setup,
                 "vcycle": vcycle_time[0],
                 "solve_total": t_solve,
@@ -261,16 +217,8 @@ class StokesProblem:
 
     def strain_rate_invariant(self, u: np.ndarray) -> np.ndarray:
         """Nodal II = eps(u):eps(u) per element (for the rheology)."""
-        cgs = self.cgs
-        nl = cgs.mesh.nelem_local
-        d, npts = self.dim, self.npts
         PG, _ = self._physical_gradients()
-        en = cgs.ln.element_nodes
-        II = np.zeros((nl, npts))
-        for e in range(nl):
-            R = cgs.element_R(e)
-            ue = R @ u[en[e]]  # geometric nodal velocities (npts, d)
-            grad = np.einsum("qjc,jd->qcd", PG[e], ue)  # du_d/dx_c
-            epsm = 0.5 * (grad + grad.transpose(0, 2, 1))
-            II[e] = np.einsum("qcd,qcd->q", epsm, epsm)
-        return II
+        ue = self.cgs.element_values(u)  # geometric nodal velocities (nl, npts, d)
+        grad = np.einsum("eqjc,ejd->eqcd", PG, ue)  # du_d/dx_c
+        epsm = 0.5 * (grad + grad.transpose(0, 1, 3, 2))
+        return np.einsum("eqcd,eqcd->eq", epsm, epsm)

@@ -18,7 +18,7 @@ nodes, and inner products reduce over owned nodes (one allreduce).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,6 +133,7 @@ class CGSpace:
         self.dim = mesh.dim
         self.nq = mesh.degree + 1
         self.npts = self.nq**self.dim
+        self._constraint_groups: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     # --- Element constraint operators ----------------------------------------------
 
@@ -145,39 +146,99 @@ class CGSpace:
         )
         return hanging_operator(self.dim, self.nq, hf, he)
 
+    def constraint_groups(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Non-conforming local elements grouped by hanging configuration.
+
+        Returns ``(elements, R)`` pairs: ascending element ids sharing the
+        constraint operator ``R``.  Conforming elements (``R = I``) are in
+        no group, so consumers skip them exactly.  Computed once per space.
+        """
+        if self._constraint_groups is None:
+            nelem = self.mesh.nelem_local
+            nf = 2 * self.dim
+            config = self.ln.hanging_face[:nelem]
+            if self.ln.hanging_edge is not None:
+                config = np.hstack([config, self.ln.hanging_edge[:nelem]])
+            uniq, inverse = np.unique(config, axis=0, return_inverse=True)
+            inverse = inverse.ravel()
+            self._constraint_groups = [
+                (
+                    np.flatnonzero(inverse == g),
+                    hanging_operator(
+                        self.dim,
+                        self.nq,
+                        tuple(int(v) for v in row[:nf]),
+                        tuple(int(v) for v in row[nf:]),
+                    ),
+                )
+                for g, row in enumerate(uniq)
+                if (row >= 0).any()
+            ]
+        return self._constraint_groups
+
+    def element_values(self, x: np.ndarray) -> np.ndarray:
+        """Values at each element's geometric nodes, ``R_e x[nodes_e]``.
+
+        ``x`` is nodal, ``(nloc,)`` or ``(nloc, ncomp)``; the result is
+        ``(nelem, npts)`` or ``(nelem, npts, ncomp)``.
+        """
+        out = x[self.ln.element_nodes[: self.mesh.nelem_local]]
+        for elems, R in self.constraint_groups():
+            out[elems] = np.einsum("ij,ej...->ei...", R, out[elems])
+        return out
+
     # --- Assembly -----------------------------------------------------------------
 
-    def assemble_matrix(self, elem_mats: np.ndarray) -> sp.csr_matrix:
-        """Assemble per-element dense matrices into the local sparse system."""
+    def assemble_matrix(
+        self, elem_mats: np.ndarray, row_comps: int = 1, col_comps: int = 1
+    ) -> sp.csr_matrix:
+        """Assemble per-element dense matrices into the local sparse system.
+
+        ``elem_mats`` is ``(nelem, npts * row_comps, npts * col_comps)``
+        with components interleaved node-major (dof ``node * comps + c``),
+        as is the assembled ``(nloc * row_comps, nloc * col_comps)`` matrix.
+        """
         nelem = self.mesh.nelem_local
-        if elem_mats.shape != (nelem, self.npts, self.npts):
+        nr, nc = self.npts * row_comps, self.npts * col_comps
+        if elem_mats.shape != (nelem, nr, nc):
             raise ValueError("elem_mats has wrong shape")
         nloc = self.ln.num_local_nodes
-        rows, cols, vals = [], [], []
-        en = self.ln.element_nodes
-        for e in range(nelem):
-            R = self.element_R(e)
-            Ae = R.T @ elem_mats[e] @ R
-            ids = en[e]
-            rows.append(np.repeat(ids, self.npts))
-            cols.append(np.tile(ids, self.npts))
-            vals.append(Ae.ravel())
-        if not rows:
-            return sp.csr_matrix((nloc, nloc))
+        groups = self.constraint_groups()
+        if groups:
+            elem_mats = elem_mats.copy()
+        for elems, R in groups:
+            Rr = np.kron(R, np.eye(row_comps))
+            Rc = Rr if col_comps == row_comps else np.kron(R, np.eye(col_comps))
+            elem_mats[elems] = Rr.T @ elem_mats[elems] @ Rc
+        # Broadcast index arrays in element order, so duplicates are summed
+        # in the order a per-element loop would append them.
+        en = self.ln.element_nodes[:nelem]
+        rdof = (en[:, :, None] * row_comps + np.arange(row_comps)).reshape(nelem, nr)
+        cdof = (en[:, :, None] * col_comps + np.arange(col_comps)).reshape(nelem, nc)
+        rows = np.broadcast_to(rdof[:, :, None], elem_mats.shape)
+        cols = np.broadcast_to(cdof[:, None, :], elem_mats.shape)
         A = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nloc, nloc),
+            (elem_mats.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(nloc * row_comps, nloc * col_comps),
         )
         return A.tocsr()
 
     def assemble_vector(self, elem_vecs: np.ndarray) -> np.ndarray:
-        """Assemble per-element load vectors; returns a *partial* vector
-        (shared rows incomplete until reverse-add scattered)."""
+        """Assemble per-element load vectors ``(nelem, npts[, ncomp])``;
+        returns a *partial* ``(nloc[, ncomp])`` vector (shared rows
+        incomplete until reverse-add scattered)."""
         nelem = self.mesh.nelem_local
-        out = np.zeros(self.ln.num_local_nodes)
-        for e in range(nelem):
-            R = self.element_R(e)
-            np.add.at(out, self.ln.element_nodes[e], R.T @ elem_vecs[e])
+        groups = self.constraint_groups()
+        if groups:
+            elem_vecs = elem_vecs.copy()
+        for elems, R in groups:
+            elem_vecs[elems] = np.einsum("ji,ej...->ei...", R, elem_vecs[elems])
+        out = np.zeros((self.ln.num_local_nodes,) + elem_vecs.shape[2:])
+        np.add.at(
+            out,
+            self.ln.element_nodes[:nelem].ravel(),
+            elem_vecs.reshape((nelem * self.npts,) + elem_vecs.shape[2:]),
+        )
         return out
 
     def assemble_vector_summed(self, elem_vecs: np.ndarray) -> np.ndarray:
@@ -296,6 +357,16 @@ class CGSpace:
         return float(np.sqrt(max(self.dot(a, a), 0.0)))
 
 
+def eliminate_dirichlet(A: sp.spmatrix, mask: np.ndarray) -> sp.csr_matrix:
+    """``D_free A D_free + D_fixed``: rows and columns of the masked dofs
+    zeroed (and dropped from the pattern), identity on their diagonal."""
+    fixed = np.asarray(mask, dtype=bool).astype(np.float64)
+    free = sp.diags(1.0 - fixed)
+    out = sp.csr_matrix(free @ A @ free + sp.diags(fixed))
+    out.eliminate_zeros()
+    return out
+
+
 def apply_dirichlet(
     A: sp.csr_matrix,
     b: np.ndarray,
@@ -307,16 +378,8 @@ def apply_dirichlet(
     Returns modified copies; constrained entries get identity rows and
     ``values`` on the right-hand side.
     """
-    A = A.tolil(copy=True)
-    b = b.copy()
     fixed = np.flatnonzero(mask)
     # Move known values to the RHS, then zero rows/cols.
-    csr = A.tocsr()
-    contrib = csr[:, fixed] @ values[fixed]
-    b -= contrib
-    A[fixed, :] = 0.0
-    A[:, fixed] = 0.0
-    for i in fixed:
-        A[i, i] = 1.0
+    b = b - A.tocsr()[:, fixed] @ values[fixed]
     b[fixed] = values[fixed]
-    return A.tocsr(), b
+    return eliminate_dirichlet(A, mask), b

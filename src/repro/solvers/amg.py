@@ -4,8 +4,14 @@ A from-scratch stand-in for the ML (Trilinos) smoothed-aggregation solver
 the paper uses to precondition the (1,1) block of the Stokes operator
 (§IV-A): strength-of-connection filtering, greedy aggregation, a
 prolongator smoothed by one damped-Jacobi step, Galerkin coarse operators,
-and a V-cycle with damped-Jacobi (or Chebyshev) smoothing and a dense
-coarsest solve.
+and a V-cycle with symmetric Gauss-Seidel (or Chebyshev / damped-Jacobi)
+smoothing and a dense coarsest solve.
+
+Everything a cycle needs is prepared once in :func:`smoothed_aggregation`
+(factored Gauss-Seidel triangles, the restriction ``P.T`` as CSR), so
+applying the V-cycle builds no sparse matrix.  Nodes that symmetric
+Dirichlet elimination decoupled from the rest of the system are solved
+exactly (``b / d``) and kept out of the hierarchy.
 
 Supports blocked (vector) problems via ``block_size``: aggregation is
 done on the scalar strength graph of block norms and the tentative
@@ -15,7 +21,7 @@ rigid-body-free treatment for elliptic vector problems).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -91,18 +97,22 @@ def tentative_prolongator(
     return sp.csr_matrix((data, (rows, cols)), shape=(n * block_size, n_agg * block_size))
 
 
+def _safe_reciprocal(d: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(d) > 1e-300, 1.0 / d, 1.0)
+
+
 def estimate_rho(A: sp.csr_matrix, iters: int = 15, seed: int = 7) -> float:
     """Power-iteration estimate of the spectral radius of D^{-1}A."""
     n = A.shape[0]
     d = A.diagonal()
-    dinv = np.where(np.abs(d) > 1e-300, 1.0 / d, 1.0)
+    dinv = _safe_reciprocal(d)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
     rho = 1.0
     for _ in range(iters):
         y = dinv * (A @ x)
-        ny = np.linalg.norm(y)
+        ny = float(np.linalg.norm(y))
         if ny == 0:
             break
         rho = ny
@@ -112,48 +122,88 @@ def estimate_rho(A: sp.csr_matrix, iters: int = 15, seed: int = 7) -> float:
 
 @dataclass
 class Level:
+    """One level of the hierarchy with its smoother data, prepared once."""
+
     A: sp.csr_matrix
-    P: Optional[sp.csr_matrix]  # prolongator to this level from the next
+    P: sp.csr_matrix  # prolongator to this level from the next
+    R: sp.csr_matrix  # restriction P.T, stored as CSR
     dinv: np.ndarray
     omega: float
     smoother: str = "sgs"
-    lower: Optional[sp.csr_matrix] = None  # L + D for Gauss-Seidel sweeps
-    upper: Optional[sp.csr_matrix] = None  # U + D
+    # Factored L + D and U + D.  A triangular matrix factored in natural
+    # order without pivoting has no fill, so ``.solve`` is the Gauss-Seidel
+    # substitution sweep.
+    lower: Optional[spla.SuperLU] = None
+    upper: Optional[spla.SuperLU] = None
     rho: float = 2.0  # spectral-radius estimate of D^-1 A (for Chebyshev)
+
+
+def _factor_triangle(T: sp.spmatrix) -> spla.SuperLU:
+    return spla.splu(
+        sp.csc_matrix(T),
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"Equil": False},
+    )
 
 
 @dataclass
 class AMGHierarchy:
-    """A smoothed-aggregation multigrid hierarchy with a V-cycle apply."""
+    """A smoothed-aggregation multigrid hierarchy with a V-cycle apply.
+
+    ``coupled`` lists the rows the levels act on; the remaining rows are
+    decoupled from every other node and are solved exactly with ``dinv``
+    (``None``: every row is coupled).
+    """
 
     levels: List[Level]
-    coarse_lu: object
+    coarse_inv: np.ndarray  # dense inverse of the coarsest operator
     presmooth: int = 1
     postsmooth: int = 1
     cycles_applied: int = 0
+    coupled: Optional[np.ndarray] = None
+    dinv: Optional[np.ndarray] = None
 
     @property
     def num_levels(self) -> int:
         return len(self.levels) + 1
 
+    @property
+    def level_sizes(self) -> List[int]:
+        """Rows of each level's operator, the dense coarsest one last."""
+        return [lvl.A.shape[0] for lvl in self.levels] + [self.coarse_inv.shape[0]]
+
     def operator_complexity(self) -> float:
+        if not self.levels:
+            return 1.0
         fine = self.levels[0].A.nnz
-        total = sum(l.A.nnz for l in self.levels)
+        total = sum(lvl.A.nnz for lvl in self.levels)
         return total / max(fine, 1)
 
-    def _smooth(self, lvl: Level, x: np.ndarray, b: np.ndarray, sweeps: int) -> np.ndarray:
-        if lvl.smoother == "sgs":
-            for _ in range(sweeps):
-                x = x + spla.spsolve_triangular(lvl.lower, b - lvl.A @ x, lower=True)
-                x = x + spla.spsolve_triangular(lvl.upper, b - lvl.A @ x, lower=False)
-            return x
+    def _smooth(
+        self, lvl: Level, x: Optional[np.ndarray], b: np.ndarray, sweeps: int
+    ) -> np.ndarray:
+        """``sweeps`` smoothing steps on ``A x = b``.
+
+        ``x=None`` is the zero initial guess, whose residual is ``b``
+        itself (no matvec).
+        """
         if lvl.smoother == "chebyshev":
             return self._chebyshev(lvl, x, b, degree=max(2, sweeps + 1))
         for _ in range(sweeps):
-            x = x + lvl.omega * lvl.dinv * (b - lvl.A @ x)
-        return x
+            r = b if x is None else b - lvl.A @ x
+            if lvl.smoother == "sgs":
+                dx = lvl.lower.solve(r)
+                x = dx if x is None else x + dx
+                x = x + lvl.upper.solve(b - lvl.A @ x)
+            else:
+                dx = lvl.omega * lvl.dinv * r
+                x = dx if x is None else x + dx
+        return np.zeros_like(b) if x is None else x
 
-    def _chebyshev(self, lvl: Level, x: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+    def _chebyshev(
+        self, lvl: Level, x: Optional[np.ndarray], b: np.ndarray, degree: int
+    ) -> np.ndarray:
         """Chebyshev polynomial smoother on [rho/alpha_ratio, rho] of
         D^-1 A — the communication-friendly smoother ML favours at scale
         (no triangular solves, only matvecs)."""
@@ -161,7 +211,9 @@ class AMGHierarchy:
         lam_min = lam_max / 30.0
         theta = 0.5 * (lam_max + lam_min)
         delta = 0.5 * (lam_max - lam_min)
-        r = lvl.dinv * (b - lvl.A @ x)
+        r = lvl.dinv * (b if x is None else b - lvl.A @ x)
+        if x is None:
+            x = np.zeros_like(b)
         sigma = theta / delta
         rho_k = 1.0 / sigma
         d = r / theta
@@ -173,24 +225,39 @@ class AMGHierarchy:
             rho_k = rho_next
         return x
 
-    def vcycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
-        """One V-cycle applied to residual equation A x = b, x0 = 0."""
-        if level == 0:
-            self.cycles_applied += 1
+    def _cycle(self, b: np.ndarray, level: int) -> np.ndarray:
         if level == len(self.levels):
-            return self.coarse_lu(b)
+            return self.coarse_inv @ b
         lvl = self.levels[level]
-        x = np.zeros_like(b)
-        x = self._smooth(lvl, x, b, self.presmooth)
-        r = b - lvl.A @ x
-        rc = lvl.P.T @ r if lvl.P is not None else r
-        xc = self.vcycle(rc, level + 1)
-        x = x + (lvl.P @ xc if lvl.P is not None else xc)
-        x = self._smooth(lvl, x, b, self.postsmooth)
+        x = self._smooth(lvl, None, b, self.presmooth)
+        xc = self._cycle(lvl.R @ (b - lvl.A @ x), level + 1)
+        return self._smooth(lvl, x + lvl.P @ xc, b, self.postsmooth)
+
+    def vcycle(self, b: np.ndarray) -> np.ndarray:
+        """One V-cycle applied to residual equation A x = b, x0 = 0."""
+        self.cycles_applied += 1
+        if self.coupled is None or self.dinv is None:
+            return self._cycle(b, 0)
+        x = self.dinv * b
+        x[self.coupled] = self._cycle(b[self.coupled], 0)
         return x
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         return self.vcycle(b)
+
+
+def _coupled_rows(A: sp.csr_matrix, block_size: int) -> np.ndarray:
+    """Mask of the rows whose node couples to another node.
+
+    A node is decoupled when none of its ``block_size`` rows has a
+    nonzero off-diagonal entry — what symmetric Dirichlet elimination
+    leaves behind.
+    """
+    coo = A.tocoo()
+    off = (coo.row != coo.col) & (coo.data != 0)
+    row_coupled = np.bincount(coo.row[off], minlength=A.shape[0]) > 0
+    node_coupled = row_coupled.reshape(-1, block_size).any(axis=1)
+    return np.repeat(node_coupled, block_size)
 
 
 def smoothed_aggregation(
@@ -209,6 +276,10 @@ def smoothed_aggregation(
     ``smoother`` is ``"sgs"`` (symmetric Gauss-Seidel, the default, as in
     ML), ``"chebyshev"`` (polynomial, matvec-only — ML's choice at high
     core counts), or ``"jacobi"`` (damped Jacobi).
+
+    Decoupled nodes (see :func:`_coupled_rows`) are solved exactly by the
+    V-cycle and take no part in the hierarchy, so no level and no coarse
+    solve carries them.
     """
     if smoother not in ("sgs", "jacobi", "chebyshev"):
         raise ValueError("smoother must be 'sgs', 'jacobi', or 'chebyshev'")
@@ -217,6 +288,13 @@ def smoothed_aggregation(
         raise ValueError("A must be square")
     if block_size < 1 or A.shape[0] % block_size:
         raise ValueError("block_size must divide the matrix dimension")
+    coupled: Optional[np.ndarray] = None
+    dinv_fine: Optional[np.ndarray] = None
+    keep = _coupled_rows(A, block_size)
+    if not keep.all():
+        coupled = np.flatnonzero(keep)
+        dinv_fine = _safe_reciprocal(A.diagonal())
+        A = A[coupled][:, coupled]
     levels: List[Level] = []
     Acur = A
     while len(levels) < max_levels - 1 and Acur.shape[0] > coarse_size:
@@ -247,26 +325,23 @@ def smoothed_aggregation(
         colnorm = np.sqrt(np.asarray(T.multiply(T).sum(axis=0)).ravel())
         T = T @ sp.diags(1.0 / np.where(colnorm > 0, colnorm, 1.0))
         rho = estimate_rho(Acur)
-        d = Acur.diagonal()
-        dinv = np.where(np.abs(d) > 1e-300, 1.0 / d, 1.0)
+        dinv = _safe_reciprocal(Acur.diagonal())
         omega_p = 4.0 / (3.0 * rho)
-        P = T - sp.diags(omega_p * dinv) @ (Acur @ T)
-        P = sp.csr_matrix(P)
+        P = sp.csr_matrix(T - sp.diags(omega_p * dinv) @ (Acur @ T))
+        R = sp.csr_matrix(P.T)
         # Damped Jacobi targeting omega * rho(D^-1 A) = 4/3.
         omega = 2.0 * jacobi_omega_factor / rho
-        lvl = Level(Acur, P, dinv, omega, smoother, rho=rho)
+        lvl = Level(Acur, P, R, dinv, omega, smoother, rho=rho)
         if smoother == "sgs":
-            lvl.lower = sp.tril(Acur, format="csr")
-            lvl.upper = sp.triu(Acur, format="csr")
+            lvl.lower = _factor_triangle(sp.tril(Acur))
+            lvl.upper = _factor_triangle(sp.triu(Acur))
         levels.append(lvl)
-        Acur = sp.csr_matrix(P.T @ Acur @ P)
+        Acur = sp.csr_matrix(R @ Acur @ P)
 
     dense = Acur.toarray()
     # Regularize a possibly singular coarse problem (pure Neumann blocks).
-    eps = 1e-12 * max(np.abs(dense).max(), 1.0)
-    lu = np.linalg.inv(dense + eps * np.eye(dense.shape[0]))
-
-    def coarse_solve(b: np.ndarray) -> np.ndarray:
-        return lu @ b
-
-    return AMGHierarchy(levels, coarse_solve, presmooth, postsmooth)
+    eps = 1e-12 * max(np.abs(dense).max(initial=0.0), 1.0)
+    coarse_inv = np.linalg.inv(dense + eps * np.eye(dense.shape[0]))
+    return AMGHierarchy(
+        levels, coarse_inv, presmooth, postsmooth, coupled=coupled, dinv=dinv_fine
+    )
