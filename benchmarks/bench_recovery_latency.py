@@ -30,8 +30,8 @@ and the per-policy recovery accounting from the
 """
 
 import time
+from pathlib import Path
 
-from benchmarks._util import emit
 from repro.parallel import (
     FaultPlan,
     Faults,
@@ -41,6 +41,7 @@ from repro.parallel import (
     RunConfig,
 )
 
+RESULT = Path(__file__).resolve().parents[1] / "bench_results" / "recovery_latency.txt"
 P = 4
 NSTEPS = 12
 DIE_AT_STEP = 9  # past most checkpoints, so work-since-checkpoint is real
@@ -153,7 +154,9 @@ def main():
         "replacement strictly fastest at every checkpoint interval: "
         f"{'yes' if all(verdicts) else 'NO'}"
     )
-    emit("recovery_latency", "\n".join(lines))
+    text = "\n".join(lines)
+    RESULT.write_text(text + "\n")
+    print(f"\n===== recovery_latency =====\n{text}\n", flush=True)
     assert all(verdicts), "warm replacement was not strictly fastest"
 
 

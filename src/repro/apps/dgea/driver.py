@@ -22,7 +22,6 @@ from repro.apps.dgea.elastic import ElasticModel
 from repro.apps.dgea.prem import PREM, CMB_RADIUS_KM, EARTH_RADIUS_KM
 from repro.mangll.geometry import ShellGeometry
 from repro.mangll.mesh import build_mesh
-from repro.mangll.models import AdvectionModel  # noqa: F401 (parity import)
 from repro.mangll.op import DGOperator, MeshContext
 from repro.mangll.rk import lsrk45_step
 from repro.p4est.balance import balance
@@ -315,10 +314,3 @@ class SeismicRun:
 
     def global_unknowns(self) -> int:
         return self.forest.global_count * self.mesh.npts * self.model.nfields
-
-    def flops_per_step_estimate(self) -> float:
-        """Rough dG work estimate per time step (5 RK stages)."""
-        npts = self.mesh.npts
-        nf = self.model.nfields
-        per_elem = 2.0 * nf * npts * (self.mesh.nq * 3 + 40)
-        return 5.0 * per_elem * self.global_elements()

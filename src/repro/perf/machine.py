@@ -4,8 +4,7 @@ Parameters are public specifications: Jaguar was a 2.33 Pflops Cray XT5
 with 224,256 cores (AMD Istanbul, 2.6 GHz) on a SeaStar2+ 3D torus
 (~5 us MPI latency, ~2 GB/s per-node injection bandwidth); Longhorn
 paired 512 NVIDIA FX 5800 GPUs with Nehalem quad-cores over QDR
-InfiniBand (~2 us, ~3.2 GB/s effective).  The paper reports a ~50x
-GPU-vs-core speedup for the dG wave kernel, which the GPU model adopts.
+InfiniBand (~2 us, ~3.2 GB/s effective).
 """
 
 from __future__ import annotations
@@ -65,7 +64,5 @@ LONGHORN_GPU = MachineModel(
     beta=1.0 / 3.2e9,
 )
 
-# The paper's measured GPU-vs-CPU-core speedup for the wave kernel and
-# the PCIe transfer bandwidth used for the Fig. 10 transfer column.
-GPU_KERNEL_SPEEDUP = 50.0
+# The PCIe transfer bandwidth used for the Fig. 10 transfer column.
 PCIE_BYTES_PER_SECOND = 3.0e9

@@ -102,6 +102,20 @@ def test_balance_codim_variants_2d():
     assert is_balanced(f_face, codim=1)
 
 
+def test_balance_codim_variants_3d():
+    """The balance-codimension ablation: face, edge, then corner balance of
+    the paper's rotcubes fractal; a stronger condition never coarsens."""
+    counts = []
+    for codim in (1, 2, 3):
+        forest = Forest.new(rotcubes(), SerialComm(), level=1)
+        forest.refine(callback=lambda o: fractal_mask(o, 4), recursive=True)
+        assert forest.global_count == 3576
+        balance(forest, codim=codim)
+        assert is_balanced(forest, codim=codim)
+        counts.append(forest.global_count)
+    assert counts == [4920, 5592, 5592]
+
+
 def test_balance_codim_bad():
     forest = Forest.new(unit_square(), SerialComm(), level=1)
     with pytest.raises(ValueError):

@@ -186,15 +186,20 @@ def test_partition_weighted(size):
 
     def prog(comm):
         forest = Forest.new(conn, comm, level=2)
-        # Weight 3 for tree-0 octants, 1 elsewhere.
-        w = np.where(forest.local.tree == 0, 3.0, 1.0)
-        forest.partition(weights=w)
-        forest.validate()
-        w2 = np.where(forest.local.tree == 0, 3.0, 1.0)
-        return float(w2.sum())
 
-    loads = spmd(size, prog)
-    assert max(loads) - min(loads) <= 3.0  # within one max-weight octant
+        def weights():  # 3 for tree-0 octants, 1 elsewhere
+            return np.where(forest.local.tree == 0, 3.0, 1.0)
+
+        forest.partition()
+        unweighted = float(weights().sum())
+        forest.partition(weights=weights())
+        forest.validate()
+        return unweighted, float(weights().sum())
+
+    unweighted, weighted = zip(*spmd(size, prog))
+    assert max(weighted) - min(weighted) <= 3.0  # within one max-weight octant
+    # The weighted-partition ablation: equal counts leave the load lopsided.
+    assert max(weighted) - min(weighted) < max(unweighted) - min(unweighted)
 
 
 def test_partition_rejects_bad_weights():

@@ -21,6 +21,8 @@ from repro.parallel import (
     FaultyComm,
     HangWatchdog,
     LAYER_ORDER,
+    Machine,
+    RunConfig,
     Sanitize,
     SanitizedComm,
     Trace,
@@ -194,6 +196,31 @@ def test_wrap_comm_composes_in_canonical_order():
     assert isinstance(top.inner.inner, SanitizedComm)
     assert isinstance(top.inner.inner.inner, FaultyComm)
     assert top.inner.inner.inner.inner is mock
+    assert wrap_comm(mock, ()) is mock  # no layers: no wrapper at all
+
+
+# Cost when disabled: nothing is constructed, nothing is on the comm path
+
+
+def _comm_chain(comm):
+    """Class names from the communicator a rank program holds down to the transport."""
+    chain = [type(comm).__name__]
+    while isinstance(comm, CommDecorator):
+        comm = comm.inner
+        chain.append(type(comm).__name__)
+    return chain
+
+
+@pytest.mark.parametrize(
+    "transport, config",
+    [("ThreadComm", {"backend": "thread"}),
+     ("ProcessComm", {"backend": "process", "start_method": "fork"})],
+)
+def test_unlayered_machine_hands_rank_programs_the_bare_transport(transport, config):
+    values = Machine(RunConfig(size=2, **config)).run(_comm_chain).values
+    assert values == [[transport]] * 2
+    layered = Machine(RunConfig(size=2, layers=[Sanitize()], **config)).run(_comm_chain).values
+    assert layered == [["SanitizedComm", transport]] * 2  # the probe does see a decorator
 
 
 def test_normalize_layers_is_stable_and_validated():
