@@ -61,8 +61,9 @@ class LintRegistry:
     forest_constructors: FrozenSet[str] = frozenset({"Forest", "Forest.new"})
 
     # Taint seeds ----------------------------------------------------------
-    #: x.<attr> on anything -> RANK taint (per-rank identity/data).
-    rank_attrs: FrozenSet[str] = frozenset({"rank"})
+    #: x.<attr> on anything -> RANK taint (per-rank identity/data; the
+    #: element counts of a rank's mesh are as local as its leaf array).
+    rank_attrs: FrozenSet[str] = frozenset({"rank", "nelem_local", "nelem_ghost"})
     #: x.<attr> on a forest-like receiver -> RANK taint (local leaf data).
     forest_rank_local_attrs: FrozenSet[str] = frozenset(
         {"local", "local_count"}

@@ -89,6 +89,7 @@ class AdvectionRun:
         self.t = 0.0
         self.step_count = 0
         self.adapt_count = 0
+        self.mesh = None  # the first _rebuild has no outgoing mesh to keep rows of
 
         if checkpoint is not None:
             # Restart path: rebuild forest + solution from the snapshot,
@@ -144,7 +145,9 @@ class AdvectionRun:
 
     def _rebuild(self) -> None:
         self.ghost = build_ghost(self.forest)
-        self.mesh = build_mesh(self.forest, self.geometry, self.cfg.degree, self.ghost)
+        self.mesh = build_mesh(
+            self.forest, self.geometry, self.cfg.degree, self.ghost, previous=self.mesh
+        )
         self.model = AdvectionModel(3, self.fronts.velocity())
         ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm)
         self.solver = DGOperator(self.model, self.cfg.degree).bind(ctx)

@@ -20,10 +20,18 @@ import numpy as np
 
 def rotation_velocity(omega: np.ndarray):
     """Rigid-body rotation velocity field v(x) = omega x x."""
-    omega = np.asarray(omega, dtype=np.float64)
+    o0, o1, o2 = np.asarray(omega, dtype=np.float64)
 
     def v(x: np.ndarray) -> np.ndarray:
-        return np.cross(np.broadcast_to(omega, x.shape), x)
+        # np.cross written out by components: the same two products and one
+        # subtraction per entry, without its broadcasting and axis moves.
+        x = np.asarray(x, dtype=np.float64)
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        out = np.empty(x.shape)
+        out[..., 0] = o1 * x2 - o2 * x1
+        out[..., 1] = o2 * x0 - o0 * x2
+        out[..., 2] = o0 * x1 - o1 * x0
+        return out
 
     return v
 

@@ -78,6 +78,7 @@ class SeismicRun:
         self.t = 0.0
         self.step_count = 0
         self.adapt_count = 0
+        self.mesh = None  # the first _rebuild has no outgoing mesh to keep rows of
 
         t0 = time.perf_counter()
         with trace_phase("Mesh"):
@@ -145,7 +146,9 @@ class SeismicRun:
 
     def _rebuild(self) -> None:
         self.ghost = build_ghost(self.forest)
-        self.mesh = build_mesh(self.forest, self.geometry, self.cfg.degree, self.ghost)
+        self.mesh = build_mesh(
+            self.forest, self.geometry, self.cfg.degree, self.ghost, previous=self.mesh
+        )
         ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm)
         self.solver = DGOperator(self.model, self.cfg.degree).bind(ctx)
         self.space = self.solver.space

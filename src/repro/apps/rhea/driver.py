@@ -79,6 +79,7 @@ class RheaRun:
         self.picard_count = 0
         self.adapt_count = 0
         self.stokes_history: List[StokesResult] = []
+        self.mesh = None  # the first _rebuild has no outgoing mesh to keep rows of
 
         self.forest = Forest.new(self.conn, comm, level=cfg.base_level)
         self._static_adapt()
@@ -152,7 +153,9 @@ class RheaRun:
         t0 = time.perf_counter()
         with phase(PHASE_AMR):
             self.ghost = build_ghost(self.forest)
-            self.mesh = build_mesh(self.forest, self.geometry, 1, self.ghost)
+            self.mesh = build_mesh(
+                self.forest, self.geometry, 1, self.ghost, previous=self.mesh
+            )
             self.ln = lnodes(self.forest, self.ghost, 1)
             ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm, self.ln)
             self.cgs = CGOperator(degree=1).bind(ctx)

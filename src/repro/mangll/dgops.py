@@ -28,8 +28,8 @@ flux values ever travel over the network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -37,24 +37,20 @@ from repro.mangll.mesh import Mesh, face_node_indices
 from repro.mangll.quadrature import gauss_lobatto, lagrange_interpolation_matrix
 from repro.p4est.connectivity import (
     CellTransform,
-    Connectivity,
     face_axis_side,
     face_tangential_axes,
 )
+from repro.p4est.facepairs import (  # the mortar kinds are the interface kinds
+    BOUNDARY,
+    COARSE,
+    CONFORMING,
+    FINE,
+    face_pairs,
+    partner_face,
+)
 from repro.p4est.forest import Forest
 from repro.p4est.ghost import GhostLayer
-from repro.p4est.octant import (
-    Octant,
-    Octants,
-    is_ancestor_pairwise,
-    searchsorted_octants,
-)
-
-# Mortar kinds.
-CONFORMING = 0
-FINE = 1  # my face hangs; partner is coarser; evaluate at my nodes
-COARSE = 2  # partner is finer; evaluate at the fine child's nodes
-BOUNDARY = 3
+from repro.p4est.octant import Octant
 
 
 @dataclass
@@ -96,205 +92,52 @@ class DGSpace:
     # --- Construction ---------------------------------------------------------
 
     def _build(self) -> None:
-        forest = self.forest
-        dim = self.dim
-        conn = forest.conn
-        combined = self.mesh.octants  # local then ghost
-        order = combined.sort_order()
-        sorted_combined = combined[order]
-        nlocal = self.mesh.nelem_local
+        """Group the face pairs into batches of one trace-transfer signature.
 
-        elems = forest.local
-        h = elems.lens()
-        groups: Dict[Tuple, Dict[str, List]] = {}
-
-        for f in range(forest.D.num_faces):
-            axis, side = face_axis_side(f)
-            off = [0, 0, 0]
-            off[axis] = 1 if side else -1
-            nb = elems.shifted(
-                off[0] * h, off[1] * h, off[2] * h
-            )
-            inside = nb.inside_root()
-            # Route exterior regions through face links (faces only — a
-            # face neighbor region is exterior in exactly one axis).
-            regions = nb.copy()
-            tform: List[Optional[CellTransform]] = [None] * len(elems)
-            valid = inside.copy()
-            ext_idx = np.flatnonzero(~inside)
-            if len(ext_idx):
-                for tree in np.unique(elems.tree[ext_idx]):
-                    sel = ext_idx[elems.tree[ext_idx] == tree]
-                    link = conn.face_links.get((int(tree), f))
-                    if link is None:
-                        continue
-                    img = link.transform.apply_octants(nb[sel], link.nb_tree)
-                    regions.tree[sel] = img.tree
-                    regions.x[sel] = img.x
-                    regions.y[sel] = img.y
-                    regions.z[sel] = img.z
-                    for i in sel:
-                        tform[int(i)] = link.transform
-                    valid[sel] = True
-
-            vidx = np.flatnonzero(valid)
-            if len(vidx) == 0:
-                self._add_boundary(groups, np.arange(len(elems)), f)
+        The signature is the pair's relative geometry in partner coordinates,
+        in units of the smaller cell, plus faces and transform.  Batches come
+        in the order the enumeration first meets each signature and keep its
+        row order: that is the kernel's accumulation order.  The matrix is
+        evaluated on a batch's first pair, through absolute float
+        coordinates, so it belongs to that representative and no other.
+        """
+        local, combined = self.forest.local, self.mesh.octants
+        fp = face_pairs(self.forest.conn, local, combined)
+        me = local[fp.elem]
+        po = combined[np.maximum(fp.partner, 0)]
+        img = [me.x.copy(), me.y.copy(), me.z.copy()]
+        for t in np.unique(fp.transform_id):
+            if t == 0:
                 continue
-            self._add_boundary(groups, np.flatnonzero(~valid), f)
-
-            regs = regions[vidx]
-            # Same-size or coarser partner: the leaf at/before the region.
-            pos = searchsorted_octants(sorted_combined, regs, side="right")
-            cand = np.maximum(pos - 1, 0)
-            anc = sorted_combined[cand]
-            has = (pos > 0) & is_ancestor_pairwise(anc, regs)
-            same = has & (anc.level == regs.level)
-            coarser = has & (anc.level < regs.level)
-            # Finer partners: leaves strictly inside the region.
-            lo = searchsorted_octants(sorted_combined, regs, side="right")
-            hi = searchsorted_octants(
-                sorted_combined, regs.last_descendants(), side="right"
-            )
-            finer = (hi > lo) & ~same
-
-            for j in np.flatnonzero(same):
-                e = int(vidx[j])
-                p = int(order[cand[j]])
-                self._add_pair(groups, CONFORMING, e, f, p, tform[e], regs[j])
-            for j in np.flatnonzero(coarser):
-                e = int(vidx[j])
-                p = int(order[cand[j]])
-                self._add_pair(groups, FINE, e, f, p, tform[e], regs[j])
-            for j in np.flatnonzero(finer):
-                e = int(vidx[j])
-                for k in range(int(lo[j]), int(hi[j])):
-                    child = sorted_combined[k]
-                    # Only direct face children touch my face: their face
-                    # toward me must lie on the region's near plane.
-                    if not self._touches_face_plane(regs[j], child, f, tform[e]):
-                        continue
-                    p = int(order[k])
-                    self._add_pair(groups, COARSE, e, f, p, tform[e], regs[j])
-
-        self._finalize_groups(groups)
-
-    def _touches_face_plane(
-        self,
-        region: Octants,
-        child: Octants,
-        f: int,
-        transform: Optional[CellTransform],
-    ) -> bool:
-        """Does the fine leaf ``child`` (inside the neighbor region) touch
-        the plane shared with my face ``f``?"""
-        # The shared plane, in the region's (= partner tree's) coordinates:
-        # my face f's plane maps to one side of the region along some axis.
-        axis, side = face_axis_side(f)
-        # In region coordinates, the plane adjoining me is the region
-        # boundary facing back toward my element.
-        if transform is None:
-            raxis, rside = axis, 1 - side
-        else:
-            # My axis `axis` maps to the partner axis j with perm[j]=axis.
-            j = transform.perm.index(axis)
-            raxis = j
-            flip = transform.sign[j] < 0
-            rside = (1 - side) if not flip else side
-        rc = [region.x[0], region.y[0], region.z[0]][raxis]
-        rh = int(region.lens()[0])
-        cc = [child.x[0], child.y[0], child.z[0]][raxis]
-        ch = int(child.lens()[0])
-        plane = rc if rside == 0 else rc + rh
-        return (cc == plane) if rside == 0 else (cc + ch == plane)
-
-    def _add_boundary(self, groups, eidx: np.ndarray, f: int) -> None:
-        if len(eidx) == 0:
-            return
-        key = ("b", f)
-        g = groups.setdefault(key, {"eminus": [], "eplus": []})
-        g["eminus"].extend(int(i) for i in eidx)
-        g["eplus"].extend([-1] * len(eidx))
-
-    def _add_pair(
-        self,
-        groups,
-        kind: int,
-        e: int,
-        f: int,
-        p: int,
-        transform: Optional[CellTransform],
-        region: Octants,
-    ) -> None:
-        combined = self.mesh.octants
-        me = self.forest.local.octant(e)
-        po = combined.octant(p)
-        fplus = self._partner_face(f, transform)
-        # Signature: relative geometry in partner coordinates, in units of
-        # the smaller cell, plus the transform identity.
-        tkey = (
-            (transform.perm, transform.sign, transform.offset)
-            if transform is not None
-            else None
+            sel = np.flatnonzero(fp.transform_id == t)
+            mapped = fp.transforms[t].apply_octants(me[sel], 0)
+            for col, new in zip(img, (mapped.x, mapped.y, mapped.z)):
+                col[sel] = new
+        hs = np.minimum(me.lens(), po.lens())
+        rel = [(c - p) // hs for c, p in zip(img, (po.x, po.y, po.z))]
+        sig = np.stack(
+            [fp.kind, fp.face, fp.transform_id, *rel, me.level - po.level], axis=1
         )
-        my_img = self._map_octant(me, transform)
-        hs = min(my_img.len(self.dim), po.len(self.dim))
-        rel = (
-            (my_img.x - po.x) // hs,
-            (my_img.y - po.y) // hs,
-            (my_img.z - po.z) // hs,
-            my_img.level - po.level,
-        )
-        key = (kind, f, fplus, tkey, rel)
-        g = groups.setdefault(
-            key, {"eminus": [], "eplus": [], "me": me, "po": po, "transform": transform}
-        )
-        g["eminus"].append(e)
-        g["eplus"].append(p)
-
-    def _map_octant(self, o: Octant, transform: Optional[CellTransform]) -> Octant:
-        if transform is None:
-            return o
-        octs = Octants.from_octants(self.dim, [o])
-        img = transform.apply_octants(octs, 0)
-        return img.octant(0)
-
-    def _partner_face(self, f: int, transform: Optional[CellTransform]) -> int:
-        axis, side = face_axis_side(f)
-        if transform is None:
-            return 2 * axis + (1 - side)
-        j = transform.perm.index(axis)
-        flip = transform.sign[j] < 0
-        pside = (1 - side) if not flip else side
-        return 2 * j + pside
-
-    def _finalize_groups(self, groups: Dict) -> None:
-        for key, g in groups.items():
-            if key[0] == "b":
-                self.batches.append(
-                    MortarBatch(
-                        BOUNDARY,
-                        key[1],
-                        -1,
-                        np.array(g["eminus"], dtype=np.int64),
-                        np.array(g["eplus"], dtype=np.int64),
-                        None,
-                    )
+        sig[fp.kind == BOUNDARY, 3:] = 0
+        _, first, group = np.unique(sig, axis=0, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        group = rank[group.reshape(-1)]
+        rows = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[rows], np.arange(len(first) + 1))
+        eminus, eplus = fp.elem[rows], fp.partner[rows]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            r = rows[lo]
+            kind, f = int(fp.kind[r]), int(fp.face[r])
+            transform = fp.transforms[fp.transform_id[r]]
+            fplus, transfer = -1, None
+            if kind != BOUNDARY:
+                fplus = partner_face(f, transform)
+                transfer = self._transfer_matrix(
+                    kind, f, fplus, me.octant(r), po.octant(r), transform
                 )
-                continue
-            kind, f, fplus, tkey, rel = key
-            transfer = self._transfer_matrix(
-                kind, f, fplus, g["me"], g["po"], g["transform"]
-            )
             self.batches.append(
-                MortarBatch(
-                    kind,
-                    f,
-                    fplus,
-                    np.array(g["eminus"], dtype=np.int64),
-                    np.array(g["eplus"], dtype=np.int64),
-                    transfer,
-                )
+                MortarBatch(kind, f, fplus, eminus[lo:hi], eplus[lo:hi], transfer)
             )
 
     def _transfer_matrix(
@@ -314,89 +157,56 @@ class DGSpace:
         trace.  Entries are tensor Lagrange evaluations; exact 0/1 for
         aligned nodes.
         """
-        dim, N = self.dim, self.degree
-        L = self.forest.D.root_len
-        xi, _ = gauss_lobatto(N + 1)
+        dim, nq, nfp = self.dim, self.nq, self.nfp
+        xi, _ = gauss_lobatto(nq)
+        t01 = 0.5 * (xi + 1.0)
 
         def face_node_coords(o: Octant, face: int) -> np.ndarray:
             """Physical-lattice (float) coords of face nodes, (nfp, dim)."""
             axis, side = face_axis_side(face)
-            tang = face_tangential_axes(dim, face)
-            base = np.array([o.x, o.y, o.z], dtype=np.float64)[:dim]
             hlen = o.len(dim)
-            pts = np.empty((self.nfp, dim))
-            t01 = 0.5 * (xi + 1.0)
-            if dim == 2:
-                (t1,) = tang
-                for i in range(self.nq):
-                    c = base.copy()
-                    c[axis] += hlen * side
-                    c[t1] += hlen * t01[i]
-                    pts[i] = c
-            else:
-                t1, t2 = tang
-                k = 0
-                for j in range(self.nq):
-                    for i in range(self.nq):
-                        c = base.copy()
-                        c[axis] += hlen * side
-                        c[t1] += hlen * t01[i]
-                        c[t2] += hlen * t01[j]
-                        pts[k] = c
-                        k += 1
+            pts = np.tile(np.array([o.x, o.y, o.z], dtype=np.float64)[:dim], (nfp, 1))
+            pts[:, axis] += hlen * side
+            # Face z-order: the lower tangential axis runs fastest.
+            for m, t in enumerate(face_tangential_axes(dim, face)):
+                pts[:, t] += hlen * t01[(np.arange(nfp) // nq**m) % nq]
             return pts
 
+        # Eval points in the source element's tree coordinates.
         if kind in (CONFORMING, FINE):
-            eval_o, eval_f = me, f
-            src_o, src_f = po, fplus
-            eval_pts = face_node_coords(eval_o, eval_f)
-            if transform is not None:
-                cols = [eval_pts[:, a] for a in range(dim)]
-                img = transform.apply_points(
-                    [np.asarray(c) for c in cols], scale=1
-                )
-                eval_pts = np.column_stack(img[:dim])
-        else:  # COARSE: eval at partner's nodes, source = my trace
-            eval_o, eval_f = po, fplus
-            src_o, src_f = me, f
-            eval_pts = face_node_coords(eval_o, eval_f)
-            if transform is not None:
-                inv = transform.inverse()
-                # eval points are in partner coordinates; map back to mine.
-                cols = [eval_pts[:, a] for a in range(dim)]
-                img = inv.apply_points([np.asarray(c) for c in cols], scale=1)
-                eval_pts = np.column_stack(img[:dim])
-                src_o, src_f = me, f
-            # Note: when mapping back, source face coords are in my tree.
+            eval_pts, src_o, src_f = face_node_coords(me, f), po, fplus
+            to_source = transform
+        else:  # COARSE: eval at the partner's nodes, mapped back to my tree
+            eval_pts, src_o, src_f = face_node_coords(po, fplus), me, f
+            to_source = transform.inverse() if transform is not None else None
+        if to_source is not None:
+            img = to_source.apply_points([eval_pts[:, a] for a in range(dim)], scale=1)
+            eval_pts = np.column_stack(img[:dim])
 
-        # Express eval points in the source element's face parameter.
-        axis_s, side_s = face_axis_side(src_f)
-        tang_s = face_tangential_axes(dim, src_f)
-        base = np.array([src_o.x, src_o.y, src_o.z], dtype=np.float64)[:dim]
+        # Express eval points in the source element's face parameter, then
+        # evaluate the source face's tensor Lagrange basis there.
+        base = np.array([src_o.x, src_o.y, src_o.z], dtype=np.float64)
         hlen = src_o.len(dim)
-        params = []
-        for a in tang_s:
-            u = (eval_pts[:, a] - base[a]) / hlen  # in [0,1]
-            params.append(2.0 * u - 1.0)
-        # Tensor Lagrange basis of the source face evaluated at the points.
-        mats = [lagrange_interpolation_matrix(xi, p) for p in params]
-        nfp = self.nfp
-        out = np.empty((nfp, nfp))
+        mats = [
+            lagrange_interpolation_matrix(xi, 2.0 * ((eval_pts[:, a] - base[a]) / hlen) - 1.0)
+            for a in face_tangential_axes(dim, src_f)
+        ]
         if dim == 2:
-            out = mats[0]
-        else:
-            # Source face nodes: (i, j) over (tang_s[0], tang_s[1]), i fast.
-            M1, M2 = mats  # each (nfp_pts, nq) with per-point rows
-            for q in range(nfp):
-                outer = np.outer(M2[q], M1[q])  # (j, i)
-                out[q] = outer.ravel()
-        return out
+            return mats[0]
+        # Source face nodes: (i, j) over the tangential axes, i fast.
+        M1, M2 = mats  # each (nfp, nq) with per-point rows
+        return (M2[:, :, None] * M1[:, None, :]).reshape(nfp, nfp)
 
     # --- Residual evaluation -----------------------------------------------------
 
     def exchange_ghost_fields(self, comm, q: np.ndarray) -> np.ndarray:
-        """Combined (local+ghost) field array from the local one."""
-        if self.mesh.nelem_ghost == 0:
+        """Combined (local+ghost) field array from the local one.
+
+        Collective whenever there is more than one rank: a rank without
+        ghosts (or without elements) still enters the exchange its
+        neighbours are in.
+        """
+        if comm.size == 1:
             return q
         gq = self.ghost.exchange_octant_data(comm, q)
         return np.concatenate([q, gq], axis=0)

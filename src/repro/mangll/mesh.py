@@ -26,7 +26,7 @@ from repro.mangll.quadrature import differentiation_matrix, gauss_lobatto
 from repro.p4est.connectivity import face_axis_side, face_tangential_axes
 from repro.p4est.forest import Forest
 from repro.p4est.ghost import GhostLayer
-from repro.p4est.octant import Octants
+from repro.p4est.octant import Octants, searchsorted_octants
 
 
 @lru_cache(maxsize=128)
@@ -75,6 +75,7 @@ class Mesh:
     jinv: np.ndarray  # (nelem_tot, npts, dim, dim): dxi/dx
     detj: np.ndarray  # (nelem_tot, npts)
     weights: np.ndarray  # tensor quadrature weights (npts,)
+    geometry: Geometry  # the map the arrays were evaluated from
 
     @property
     def nq(self) -> int:
@@ -124,20 +125,8 @@ def reference_nodes(dim: int, degree: int) -> np.ndarray:
     """Tensor LGL nodes in [0,1]^dim, lexicographic x fastest: (npts, dim)."""
     x, _ = gauss_lobatto(degree + 1)
     x01 = 0.5 * (x + 1.0)
-    if dim == 2:
-        X, Y = np.meshgrid(x01, x01, indexing="xy")
-        return np.column_stack([X.ravel(order="C"), Y.ravel(order="C")])
-    grids = np.meshgrid(x01, x01, x01, indexing="ij")
-    # lexicographic x fastest: build explicitly
-    pts = np.empty(((degree + 1) ** 3, 3))
-    nq = degree + 1
-    k = 0
-    for kz in range(nq):
-        for ky in range(nq):
-            for kx in range(nq):
-                pts[k] = (x01[kx], x01[ky], x01[kz])
-                k += 1
-    return pts
+    grids = np.meshgrid(*[x01] * dim, indexing="ij")  # slowest axis first
+    return np.column_stack([g.ravel() for g in reversed(grids)])
 
 
 def build_mesh(
@@ -145,39 +134,92 @@ def build_mesh(
     geometry: Geometry,
     degree: int,
     ghost: Optional[GhostLayer] = None,
+    previous: Optional[Mesh] = None,
 ) -> Mesh:
-    """Evaluate geometry and metrics for local (and ghost) elements."""
+    """Evaluate geometry and metrics for local (and ghost) elements.
+
+    Elements that ``previous`` (a mesh of the same geometry and degree,
+    typically the one an adapt is replacing) already holds, as local or
+    ghost, are copied from it; the map is deterministic, so the result is
+    the same arrays bit for bit with or without ``previous``.
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     dim = forest.dim
-    nq = degree + 1
-    npts = nq**dim
-    L = forest.D.root_len
-
     if ghost is not None and len(ghost.octants):
         octs = Octants.concat([forest.local, ghost.octants])
     else:
         octs = forest.local.copy()
     nelem_local = len(forest.local)
-    nelem_ghost = len(octs) - nelem_local
     nelem = len(octs)
-
-    ref = reference_nodes(dim, degree)  # (npts, dim) in [0,1], x fastest
+    npts = (degree + 1) ** dim
     pdim = 3 if dim == 3 else 2
+
+    # Row of ``previous`` holding each element, or -1.
+    src = np.full(nelem, -1, dtype=np.int64)
+    if previous is not None and len(previous.octants):
+        if (previous.geometry, previous.dim, previous.degree) != (geometry, dim, degree):
+            raise ValueError("previous mesh has another geometry, dim or degree")
+        order = previous.octants.sort_order()
+        held = previous.octants[order]
+        pos = np.minimum(searchsorted_octants(held, octs), len(held) - 1)
+        same = (held.tree[pos] == octs.tree) & (held.keys()[pos] == octs.keys())
+        src[same] = order[pos[same]]
+    kept, fresh = np.flatnonzero(src >= 0), np.flatnonzero(src < 0)
+
     coords = np.empty((nelem, npts, pdim))
+    jac = np.empty((nelem, npts, pdim, dim))
+    jinv = np.empty((nelem, npts, dim, dim))
+    det = np.empty((nelem, npts))
+    coords[fresh], jac[fresh], jinv[fresh], det[fresh] = _element_geometry(
+        octs[fresh], geometry, degree
+    )
+    if len(kept):
+        coords[kept], jac[kept] = previous.coords[src[kept]], previous.jac[src[kept]]
+        jinv[kept], det[kept] = previous.jinv[src[kept]], previous.detj[src[kept]]
+
+    # Tensor quadrature weights on [-1,1]^dim, matching jac = dx/dxi with
+    # xi in [-1,1] (D differentiates nodal values w.r.t. xi directly).
+    _, w1 = gauss_lobatto(degree + 1)
+    w = w1.copy()
+    for _ in range(dim - 1):
+        w = np.kron(w1, w)  # slowest axis outermost; x fastest overall
+
+    return Mesh(
+        dim=dim,
+        degree=degree,
+        nelem_local=nelem_local,
+        nelem_ghost=nelem - nelem_local,
+        octants=octs,
+        coords=coords,
+        jac=jac,
+        jinv=jinv,
+        detj=det,
+        weights=w,
+        geometry=geometry,
+    )
+
+
+def _element_geometry(
+    octs: Octants, geometry: Geometry, degree: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(coords, jac, jinv, detj)`` of ``octs``: the map at the LGL nodes,
+    one ``map_points`` call per tree, and its metric terms."""
+    dim, nq = octs.dim, degree + 1
+    npts = nq**dim
+    pdim = 3 if dim == 3 else 2
+    ref = reference_nodes(dim, degree)  # (npts, dim) in [0,1], x fastest
     h = octs.lens().astype(np.float64)
-    base = np.stack(
-        [octs.x.astype(np.float64), octs.y.astype(np.float64), octs.z.astype(np.float64)],
-        axis=1,
-    )[:, :dim]
-    for e in range(nelem):
-        u = (base[e][None, :] + ref * h[e]) / L
-        p = geometry.map_points(int(octs.tree[e]), u)
-        coords[e] = p[:, :pdim]
+    base = np.stack([octs.x, octs.y, octs.z], axis=1)[:, :dim].astype(np.float64)
+    u = (base[:, None, :] + ref[None] * h[:, None, None]) / octs.D.root_len
+    coords = np.empty((len(octs), npts, pdim))
+    for tree in np.unique(octs.tree):
+        sel = np.flatnonzero(octs.tree == tree)
+        p = geometry.map_points(int(tree), u[sel].reshape(-1, dim))
+        coords[sel] = p[:, :pdim].reshape(len(sel), npts, pdim)
 
     # Metric terms by spectral differentiation along each reference axis.
     jac = _metric_terms(coords, dim, nq, pdim)
-
     if dim == 2:
         det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         jinv = np.empty_like(jac)
@@ -191,26 +233,7 @@ def build_mesh(
         jinv = np.linalg.inv(jac)
     if np.any(det <= 0):
         raise ValueError("non-positive Jacobian determinant (inverted element)")
-
-    # Tensor quadrature weights on [-1,1]^dim, matching jac = dx/dxi with
-    # xi in [-1,1] (D differentiates nodal values w.r.t. xi directly).
-    _, w1 = gauss_lobatto(nq)
-    w = w1.copy()
-    for _ in range(dim - 1):
-        w = np.kron(w1, w)  # slowest axis outermost; x fastest overall
-
-    return Mesh(
-        dim=dim,
-        degree=degree,
-        nelem_local=nelem_local,
-        nelem_ghost=nelem_ghost,
-        octants=octs,
-        coords=coords,
-        jac=jac,
-        jinv=jinv,
-        detj=det,
-        weights=w,
-    )
+    return coords, jac, jinv, det
 
 
 def _metric_terms(coords: np.ndarray, dim: int, nq: int, pdim: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from repro.p4est.connectivity import Connectivity
 from repro.p4est.forest import Forest
 from repro.p4est.balance import balance, is_balanced
 from repro.p4est.ghost import GhostLayer, build_ghost
+from repro.p4est.facepairs import FacePairs, face_pairs
 from repro.p4est.nodes import LNodes, lnodes
 from repro.p4est.search import contains_point, find_octants, locate_points
 from repro.p4est.checkpoint import ForestCheckpoint, connectivity_digest, field_checksum
@@ -37,6 +38,8 @@ __all__ = [
     "is_balanced",
     "GhostLayer",
     "build_ghost",
+    "FacePairs",
+    "face_pairs",
     "LNodes",
     "lnodes",
     "contains_point",

@@ -108,9 +108,10 @@ def build_ghost(
 
     # For each leaf, which remote ranks own a region adjacent to it?  One
     # batched neighbor generation over every direction; exterior regions
-    # are routed through the connectivity in indexed groups.
+    # are routed through the connectivity in indexed groups.  A lone rank
+    # owns every region: it generates none and its exchange below is empty.
     regions_per_leaf: List[Tuple[np.ndarray, Octants]] = []
-    if n:
+    if n and comm.size > 1:
         src_all, nb = neighborhood(leaves, codim)
         inside = nb.inside_root()
         if inside.any():
@@ -179,7 +180,6 @@ def _build_ghost_multilayer(forest: Forest, codim: int, layers: int) -> GhostLay
     region.  Mirror/ghost maps are extended so data exchange covers the
     whole halo.
     """
-    from repro.p4est.balance import generate_neighbor_regions
     from repro.p4est.octant import is_ancestor_pairwise, searchsorted_octants
 
     comm = forest.comm

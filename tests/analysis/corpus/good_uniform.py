@@ -20,6 +20,14 @@ def allreduce_gated_adapt(comm, forest):
         forest.coarsen(mask=mask)
 
 
+def ghost_exchange_gated_on_size(space, comm, q):
+    # The communicator's size is the same on every rank; a rank's ghost
+    # count is not (see the bad corpus).
+    if comm.size == 1:
+        return q
+    return space.ghost.exchange_octant_data(comm, q)
+
+
 def rank_payload_is_fine(comm):
     # Per-rank *payloads* into collectives are the whole point.
     return comm.allreduce(comm.rank, SUM)

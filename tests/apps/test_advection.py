@@ -28,6 +28,23 @@ def test_rotation_velocity_and_rodrigues():
     )
 
 
+@pytest.mark.parametrize(
+    "omega", [(0.0, 0.0, 1.0), (0.3, -0.2, 0.9), (0.0, -0.0, 0.0), (-0.0, 1.0, 0.0)]
+)
+def test_rotation_velocity_is_np_cross_to_the_byte(omega):
+    """The component form is np.cross's own arithmetic (two products and a
+    subtraction per entry), signed zeros included."""
+    rng = np.random.default_rng(21)
+    for shape in ((40, 27, 3), (5, 3), (3,)):
+        x = rng.standard_normal(shape)
+        x.flat[::7] = 0.0
+        x.flat[3::11] = -0.0
+        got = rotation_velocity(omega)(x)
+        want = np.cross(np.broadcast_to(np.asarray(omega), x.shape), x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fronts_value_advects_exactly():
     fr = SphericalFronts()
     x = np.array([[0.8, 0.1, 0.0], [0.0, 0.9, 0.2]])

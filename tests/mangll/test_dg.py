@@ -21,7 +21,7 @@ from repro.p4est.builders import (
 )
 from repro.p4est.forest import Forest
 from repro.p4est.ghost import build_ghost
-from repro.parallel import SerialComm
+from repro.parallel import Machine, RunConfig, SerialComm
 from tests.parallel.helpers import run as spmd
 
 
@@ -366,3 +366,24 @@ def test_parallel_advection_matches_serial(size):
     ref = spmd(1, run)[0]
     out = spmd(size, run)
     assert out == [ref] * size
+
+
+@pytest.mark.parametrize("size", [5, 6])
+def test_rank_without_elements_stays_in_the_ghost_exchange(size):
+    """Four elements on more ranks than elements: the empty ranks have no
+    ghosts, yet must enter the collective ghost exchange of every ``rhs``
+    — skipping it shifted their collective sequence against the others'
+    (``HangError`` / a dict reaching ``stable_dt``'s allreduce)."""
+    conn = unit_square()
+
+    def run(comm):
+        forest, ghost, mesh, _ = make_space(conn, comm, 1, 2)
+        op = make_solver(forest, ghost, mesh, AdvectionModel(2, [1.0, 0.5]), comm)
+        q = np.sin(mesh.coords[: mesh.nelem_local, :, 0])
+        r = op.rhs(q, 0.0)
+        assert r.shape == q.shape
+        return mesh.nelem_local, op.stable_dt(q, cfl=0.3)
+
+    out = Machine(RunConfig(size=size, backend="thread")).run(run).values
+    assert sorted(n for n, _ in out) == [0] * (size - 4) + [1] * 4
+    assert len({dt for _, dt in out}) == 1

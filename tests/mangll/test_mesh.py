@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from repro.mangll.geometry import (
+    BrickGeometry,
     MoebiusGeometry,
     MultilinearGeometry,
     ShellGeometry,
 )
 from repro.mangll.mesh import Mesh, build_mesh, face_node_indices, reference_nodes
-from repro.p4est.builders import brick_2d, shell, unit_cube, unit_square
+from repro.p4est.balance import balance
+from repro.p4est.builders import (
+    brick_2d,
+    rotcubes,
+    shell,
+    two_trees_2d,
+    unit_cube,
+    unit_square,
+)
 from repro.p4est.forest import Forest
 from repro.p4est.ghost import build_ghost
 from repro.parallel import SerialComm
@@ -139,3 +148,112 @@ def test_moebius_geometry_maps_consistently():
     np.testing.assert_allclose(
         geo.map_points(4, u_end), geo.map_points(0, u_start), atol=1e-12
     )
+
+
+# --- build_mesh(previous=...) ------------------------------------------------
+
+MESH_ARRAYS = ("coords", "jac", "jinv", "detj", "weights")
+
+# One per Geometry subclass, on a connectivity whose elements it maps with a
+# positive planar Jacobian.  The Moebius band's (x, y) projection is
+# right-handed only on its first trees and with the transverse axis flipped
+# (negative width), so it runs on the first two trees of a mirrored band.
+GEOMETRIES = {
+    "multilinear2d": (unit_square, MultilinearGeometry, 2),
+    "multilinear3d": (rotcubes, MultilinearGeometry, 1),
+    "shell": (shell, lambda conn: ShellGeometry(), 1),
+    "moebius": (two_trees_2d, lambda conn: MoebiusGeometry(width=-0.4), 2),
+    "brick": (
+        lambda: brick_2d(3, 2, periodic_x=True),
+        lambda conn: BrickGeometry(3, 2),
+        1,
+    ),
+}
+
+
+def _lattice_hash(octs):
+    s = (octs.D.maxlevel - octs.level).astype(np.int64)
+    return octs.tree * 7 + (octs.x >> s) * 3 + (octs.y >> s) * 5 + (octs.z >> s)
+
+
+def _assert_same_mesh(a: Mesh, b: Mesh):
+    assert a.octants == b.octants
+    assert (a.nelem_local, a.nelem_ghost) == (b.nelem_local, b.nelem_ghost)
+    for name in MESH_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _rows(octs):
+    return set(zip(*(c.tolist() for c in (octs.tree, octs.x, octs.y, octs.z, octs.level))))
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_previous_mesh_changes_no_bit(name):
+    """``previous`` is data, not a switch: after a refine + coarsen +
+    repartition the mesh built from carried-over rows equals the one
+    evaluated from scratch, and the cycle did exercise kept rows, fresh
+    rows and rows that were another rank's ghost."""
+    builder, make_geometry, level = GEOMETRIES[name]
+    conn = builder()
+    geometry = make_geometry(conn)
+
+    def prog(comm):
+        forest = Forest.new(conn, comm, level=level)
+        forest.refine(mask=_lattice_hash(forest.local) % 3 == 0)
+        balance(forest)
+        forest.partition()
+        ghost = build_ghost(forest)
+        old = build_mesh(forest, geometry, 2, ghost)
+        _assert_same_mesh(build_mesh(forest, geometry, 2, ghost, previous=old), old)
+
+        forest.coarsen(mask=_lattice_hash(forest.local.parents()) % 2 == 0)
+        forest.refine(mask=_lattice_hash(forest.local) % 4 == 1)
+        balance(forest)
+        forest.partition(weights=1.0 + forest.local.level.astype(np.float64))
+        ghost = build_ghost(forest)
+        fresh = build_mesh(forest, geometry, 2, ghost)
+        _assert_same_mesh(build_mesh(forest, geometry, 2, ghost, previous=old), fresh)
+
+        was_local = _rows(old.octants[np.arange(old.nelem_local)])
+        was_ghost = _rows(old.octants[np.arange(old.nelem_local, old.nelem_total)])
+        now = _rows(fresh.octants)
+        return (
+            len(now & was_local),
+            len(_rows(forest.local) & was_ghost),
+            len(now - was_local - was_ghost),
+        )
+
+    kept, from_ghost, evaluated = np.sum(spmd(3, prog), axis=0)
+    assert kept > 0 and from_ghost > 0 and evaluated > 0
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_previous_mesh_through_advection_adapts(size):
+    from repro.apps.advection.driver import AdvectionConfig, AdvectionRun
+
+    def prog(comm):
+        app = AdvectionRun(comm, AdvectionConfig(degree=2, max_level=2, adapt_every=2))
+        changed = 0
+        for _ in range(3):
+            app.run(2)  # two steps, then adapt() rebuilds from the outgoing mesh
+            plain = build_mesh(app.forest, app.geometry, 2, app.ghost)
+            _assert_same_mesh(app.mesh, plain)
+            changed += app.last_adapt.refined + app.last_adapt.coarsened
+        return changed
+
+    assert sum(spmd(size, prog)) > 0
+
+
+def test_previous_mesh_must_match():
+    conn = unit_square()
+    geometry = MultilinearGeometry(conn)
+    forest = Forest.new(conn, SerialComm(), level=1)
+    old = build_mesh(forest, geometry, 2)
+    assert old.geometry is geometry
+    with pytest.raises(ValueError, match="previous"):
+        build_mesh(forest, geometry, 3, previous=old)
+    with pytest.raises(ValueError, match="previous"):
+        build_mesh(forest, MultilinearGeometry(conn), 2, previous=old)
+    cube = Forest.new(unit_cube(), SerialComm(), level=1)
+    with pytest.raises(ValueError, match="previous"):
+        build_mesh(cube, geometry, 2, previous=old)

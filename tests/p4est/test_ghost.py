@@ -16,9 +16,15 @@ from tests.p4est.test_forest import fractal_mask, gather_global
 
 def test_ghost_serial_is_empty():
     forest = Forest.new(unit_square(), SerialComm(), level=3)
+    forest.comm.stats.reset()
     ghost = build_ghost(forest)
     assert len(ghost) == 0
     assert len(ghost.mirrors) == 0
+    assert ghost.mirror_map == {} and ghost.ghost_map == {}
+    # A lone rank generates no neighbour regions but still makes the one
+    # (empty) exchange: the collective sequence does not depend on size.
+    ops = forest.comm.stats.ops
+    assert (ops["exchange"].calls, ops["exchange"].messages) == (1, 0)
     # Data exchange degenerates gracefully.
     out = ghost.exchange_octant_data(forest.comm, np.arange(forest.local_count))
     assert out.shape == (0,)
