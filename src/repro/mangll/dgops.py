@@ -45,6 +45,7 @@ from repro.p4est.facepairs import (  # the mortar kinds are the interface kinds
     COARSE,
     CONFORMING,
     FINE,
+    apply_transforms,
     face_pairs,
     partner_face,
 )
@@ -105,14 +106,7 @@ class DGSpace:
         fp = face_pairs(self.forest.conn, local, combined)
         me = local[fp.elem]
         po = combined[np.maximum(fp.partner, 0)]
-        img = [me.x.copy(), me.y.copy(), me.z.copy()]
-        for t in np.unique(fp.transform_id):
-            if t == 0:
-                continue
-            sel = np.flatnonzero(fp.transform_id == t)
-            mapped = fp.transforms[t].apply_octants(me[sel], 0)
-            for col, new in zip(img, (mapped.x, mapped.y, mapped.z)):
-                col[sel] = new
+        img = apply_transforms(fp.transforms, fp.transform_id, me)
         hs = np.minimum(me.lens(), po.lens())
         rel = [(c - p) // hs for c, p in zip(img, (po.x, po.y, po.z))]
         sig = np.stack(

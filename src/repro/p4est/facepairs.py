@@ -57,13 +57,29 @@ def partner_face(face: int, transform: Optional[CellTransform]) -> int:
     return 2 * j + (side if transform.sign[j] < 0 else 1 - side)
 
 
+def apply_transforms(
+    transforms: List[Optional[CellTransform]], transform_id: np.ndarray, octs: Octants
+) -> List[np.ndarray]:
+    """``[x, y, z]`` of ``octs`` with row i mapped by ``transforms[transform_id[i]]``
+    (id 0 leaves it where it is): one batched call per distinct transform."""
+    xyz = [octs.x.copy(), octs.y.copy(), octs.z.copy()]
+    for t in np.unique(transform_id):
+        if t == 0:
+            continue
+        sel = np.flatnonzero(transform_id == t)
+        img = transforms[t].apply_octants(octs[sel], 0)
+        for col, new in zip(xyz, (img.x, img.y, img.z)):
+            col[sel] = new
+    return xyz
+
+
 def face_pairs(conn: Connectivity, local: Octants, combined: Octants) -> FacePairs:
     """Enumerate the face interfaces of ``local`` against ``combined``.
 
     ``combined`` holds the candidate partners (local leaves then ghosts, in
     any order); a region nothing in it overlaps yields no row.
     """
-    n, num_faces = len(local), local.D.num_faces
+    num_faces = local.D.num_faces
     order = combined.sort_order()
     leaves = combined[order]
     leaf_xyz = np.stack([leaves.x, leaves.y, leaves.z])
@@ -89,26 +105,14 @@ def face_pairs(conn: Connectivity, local: Octants, combined: Octants) -> FacePai
             col.append(np.asarray(values, dtype=np.int64))
 
     for f in range(num_faces):
-        axis, side = face_axis_side(f)
         # Same-size neighbor regions; a face region leaves the root cube in
         # exactly one axis, so face links route every exterior one.
-        tree = local.tree.copy()
-        xyz = [local.x.copy(), local.y.copy(), local.z.copy()]
-        xyz[axis] += h if side else -h
-        tid = np.zeros(n, dtype=np.int64)
-        ext = np.flatnonzero((xyz[axis] < 0) | (xyz[axis] >= local.D.root_len))
-        tid[ext] = link_id[local.tree[ext], f]
-        for t in np.unique(tid[ext]):
-            if t == 0:
-                continue
-            sel = ext[tid[ext] == t]
-            nb = Octants(local.dim, tree[sel], *(c[sel] for c in xyz), local.level[sel])
-            img = transforms[t].apply_octants(nb, 0)
-            tree[sel] = link_tree[local.tree[sel], f]
-            for col, new in zip(xyz, (img.x, img.y, img.z)):
-                col[sel] = new
-        valid = np.ones(n, dtype=bool)
-        valid[ext] = tid[ext] > 0
+        nb = local.face_neighbors(f)
+        inside = nb.inside_root()
+        tid = np.where(inside, 0, link_id[local.tree, f])
+        xyz = apply_transforms(transforms, tid, nb)
+        tree = np.where(tid > 0, link_tree[local.tree, f], local.tree)
+        valid = inside | (tid > 0)
         bidx = np.flatnonzero(~valid)
         emit(BOUNDARY, f, bidx, np.full(len(bidx), -1), tid[bidx])
 
