@@ -152,6 +152,8 @@ class AdvectionRun:
         ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm)
         self.solver = DGOperator(self.model, self.cfg.degree).bind(ctx)
         self.space = self.solver.space
+        # The RK register lives as long as the mesh it is shaped for.
+        self._register = np.empty((self.mesh.nelem_local, self.mesh.npts))
 
     def _element_h(self) -> np.ndarray:
         # Physical length scale per local element from its lattice size.
@@ -220,7 +222,7 @@ class AdvectionRun:
         for _ in range(nsteps):
             t0 = time.perf_counter()
             with trace_phase("Integrate"):
-                self.q = lsrk45_step(self.q, self.t, dt, self.solver)
+                self.q = lsrk45_step(self.q, self.t, dt, self.solver, self._register)
             self.t += dt
             self.step_count += 1
             self.timers.add("integrate", time.perf_counter() - t0)

@@ -152,6 +152,10 @@ class SeismicRun:
         ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm)
         self.solver = DGOperator(self.model, self.cfg.degree).bind(ctx)
         self.space = self.solver.space
+        # The RK register lives as long as the mesh it is shaped for.
+        self._register = np.empty(
+            (self.mesh.nelem_local, self.mesh.npts, self.model.nfields)
+        )
         if hasattr(self, "_probe"):
             self._make_probe()
 
@@ -202,11 +206,10 @@ class SeismicRun:
         """Advance ``nsteps``; returns measured seconds per step (max rank)."""
         if dt is None:
             dt = self.solver.stable_dt(self.q, cfl=self.cfg.cfl)
-        work = np.zeros_like(self.q)
         t0 = time.perf_counter()
         with trace_phase("WaveProp"):
             for _ in range(nsteps):
-                self.q = lsrk45_step(self.q, self.t, dt, self.rhs, work)
+                self.q = lsrk45_step(self.q, self.t, dt, self.rhs, self._register)
                 self.t += dt
                 self.step_count += 1
                 self.record()

@@ -7,9 +7,11 @@ Lower -> plan -> emit -> cache, in four small modules:
 * :mod:`~repro.mangll.compiler.lower` — mangll operators written into
   the IR, preserving the interpreted reference's exact float semantics.
 * :mod:`~repro.mangll.compiler.passes` — CSE, loop-invariant hoisting
-  (bind/run staging) and fusion (single-use inlining).
-* :mod:`~repro.mangll.compiler.emit` — flat NumPy source emission, the
-  bind-stage evaluator, and the communication-freedom AST guard.
+  (bind/run staging), fusion (single-use inlining), and buffer planning
+  (liveness, workspace slots, block size).
+* :mod:`~repro.mangll.compiler.emit` — flat NumPy source emission
+  (blocked regions, ``out=`` forms), the bind-stage evaluator, and the
+  communication-freedom AST guard.
 * :mod:`~repro.mangll.compiler.cache` — in-memory + on-disk source
   cache with versioned fingerprints.
 
@@ -23,6 +25,7 @@ they go through :mod:`repro.mangll.op`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -90,7 +93,13 @@ class CompiledKernel:
 # --- dG RHS -----------------------------------------------------------------
 
 _DG_PARAMS = ("q_local", "q_all", "t", "P", "model")
-_DG_PROLOGUE = ("ne = q_local.shape[0]", "nf = q_local.shape[2]")
+_DG_PROLOGUE = ("ne = q_local.shape[0]",)
+
+
+@lru_cache(maxsize=None)
+def _dg_analysis(dim: int, degree: int, nfields: int, kind: str) -> Analysis:
+    """One (immutable) analysis per specialization: every bind needs it."""
+    return analyze(lower_dg_rhs(dim, degree, nfields, kind))
 
 
 def compile_dg_rhs(
@@ -103,7 +112,7 @@ def compile_dg_rhs(
     """Compile the dG RHS for one ``(dim, degree, nfields, kind)``."""
     cache = cache if cache is not None else default_cache()
     key = dg_cache_key(dim, degree, nfields, kind)
-    analysis = analyze(lower_dg_rhs(dim, degree, nfields, kind))
+    analysis = _dg_analysis(dim, degree, nfields, kind)
 
     def build() -> str:
         return Emitter(analysis).emit("kernel", _DG_PARAMS, _DG_PROLOGUE)
@@ -131,6 +140,13 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
     per-slot ``face_cf`` form.  This halves conforming-face work; it
     reorders lift accumulation, so only the tolerance-validated elastic
     kind does it.
+
+    ``P["ws"]`` is the binding's workspace: one flat array every planned
+    region's temporaries are slots of, sized here from the analysis
+    (items per block row) and this mesh (how many rows a block of each
+    region can actually have).  It belongs to this ``P`` alone — two
+    bindings never share one, and one binding's ``rhs`` is not
+    reentrant.
     """
     kind = compiled.meta["kind"]
     an = compiled.analyses["kernel"]
@@ -146,19 +162,19 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
     fb = []
     groups: Dict[Tuple[bytes, bytes], Dict[str, Any]] = {}
 
+    rows = {"main": nl}
+
     def slot(region: str, env: Dict[str, Any]) -> None:
         B = ev.batch_bind(region, env)
         em = env["em"]
-        fidx = env["fidx"]
         B["k"] = FACE_K[region]
-        B["ix"] = (em[:, None], fidx[None, :])
+        B["n"] = len(em)
+        rows[region] = max(rows.get(region, 0), len(em))
         # Unique rows -> the fancy -= lift is bit-identical to the
         # reference's unbuffered np.add.at; duplicated rows fall back.
         B["u"] = bool(len(np.unique(em)) == len(em))
         if region == "face_pair":
             ep = env["ep"]
-            pidx = env["pidx"]
-            B["ixp"] = (ep[:, None], pidx[None, :])
             B["up"] = bool(len(np.unique(ep)) == len(ep))
         fb.append(B)
 
@@ -188,10 +204,19 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
             env_g[name] = np.concatenate([p[name] for p in grp["parts"]])
         slot("face_pair", env_g)
     P["fb"] = fb
+    P["ws"] = np.empty(an.workspace_items(rows))
     return P
 
 
 # --- CG element kernels -----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _cg_analyses(dim: int, degree: int) -> Tuple[Analysis, Analysis]:
+    return (
+        analyze(lower_cg_elem_laplacian(dim, degree), pprefix="l."),
+        analyze(lower_cg_elem_mass(dim, degree), pprefix="m."),
+    )
 
 
 def compile_cg_elem(
@@ -201,12 +226,12 @@ def compile_cg_elem(
     cache = cache if cache is not None else default_cache()
     key = cg_cache_key(dim, degree)
     npts = (degree + 1) ** dim
-    an_lap = analyze(lower_cg_elem_laplacian(dim, degree))
-    an_mass = analyze(lower_cg_elem_mass(dim, degree))
+    an_lap, an_mass = _cg_analyses(dim, degree)
 
     def build() -> str:
-        lap = Emitter(an_lap, pprefix="l.").emit("elem_laplacian", ("wdet", "P"))
-        mass = Emitter(an_mass, pprefix="m.").emit("elem_mass", ("wdet", "P"))
+        prologue = ("ne = wdet.shape[0]",)
+        lap = Emitter(an_lap).emit("elem_laplacian", ("wdet", "P"), prologue)
+        mass = Emitter(an_mass).emit("elem_mass", ("wdet", "P"), prologue)
         return f"_DIDX = np.arange({npts})\n\n\n" + lap + "\n\n" + mass
 
     module = cache.get(key, build, validate=lambda b: assert_communication_free(b, key))
@@ -221,13 +246,17 @@ def compile_cg_elem(
 def prepare_cg_elem(compiled: CompiledKernel, space: Any) -> Dict[str, Any]:
     """Bind-stage values (hoisted metric terms) for one CG space."""
     tables = cg_tables(space)
-    P = BindEvaluator(compiled.analyses["elem_laplacian"], tables).global_bind("l.")
-    P.update(BindEvaluator(compiled.analyses["elem_mass"], tables).global_bind("m."))
+    an_lap, an_mass = compiled.analyses["elem_laplacian"], compiled.analyses["elem_mass"]
+    P = BindEvaluator(an_lap, tables).global_bind()
+    P.update(BindEvaluator(an_mass, tables).global_bind())
     m = space.mesh
     nl = m.nelem_local
     # The caller scales this by the coefficient exactly as the
     # reference does (wdet * coeff); hoisting the product is bit-safe.
     P["wdet0"] = m.detj[:nl] * m.weights[None, :]
+    # The two kernels never run at once: one workspace serves both.
+    rows = {"main": nl}
+    P["ws"] = np.empty(max(an_lap.workspace_items(rows), an_mass.workspace_items(rows)))
     return P
 
 

@@ -9,11 +9,14 @@ processes skip lowering entirely.
 
 Disk entries carry a *versioned fingerprint* header::
 
-    # repro-kernel v3 key=dg_rhs-d2-p3-f1-advection fingerprint=<sha256>
+    # repro-kernel v5 key=dg_rhs-d2-p3-f1-advection fingerprint=<sha256>
 
-The fingerprint hashes the IR version, the key, and the body.  A stale
-entry — compiler upgraded, file truncated, hand-edited — fails the
-check and is silently regenerated.  Publication reuses the
+The fingerprint hashes the IR version, a digest of the compiler's own
+source (:data:`EMITTER_DIGEST`), the key, and the body.  A stale entry —
+written by another version of the lowering, the passes or the emitter,
+truncated, hand-edited — fails the check and is silently regenerated:
+the cache cannot serve a kernel this compiler would not have generated,
+whether or not anyone remembered to bump ``IR_VERSION``.  Publication reuses the
 DiskCheckpointStore idiom (tmp file + fsync + atomic ``os.replace`` +
 directory fsync, :mod:`repro.io.checkpoint`), so concurrent writers
 racing on one key each publish a complete file and readers never see a
@@ -34,7 +37,23 @@ from ...io.checkpoint import fsync_dir
 
 #: Bumped whenever the IR, a pass, or the emitter changes the generated
 #: source for the same key; stale disk entries are then regenerated.
-IR_VERSION = 4
+IR_VERSION = 5
+
+
+def _emitter_digest() -> str:
+    """Digest of the modules that decide what source a key generates."""
+    h = hashlib.sha256()
+    for name in ("ir.py", "passes.py", "lower.py", "emit.py"):
+        try:
+            h.update(Path(__file__).with_name(name).read_bytes())
+        except OSError:  # a source-less install still has IR_VERSION
+            h.update(name.encode())
+    return h.hexdigest()[:16]
+
+
+#: Folded into every fingerprint, so a disk entry written by different
+#: compiler source is stale even when ``IR_VERSION`` was not bumped.
+EMITTER_DIGEST = _emitter_digest()
 
 _HEADER = "# repro-kernel v{version} key={key} fingerprint={sha}\n"
 
@@ -42,7 +61,7 @@ _HEADER = "# repro-kernel v{version} key={key} fingerprint={sha}\n"
 def fingerprint(key: str, body: str) -> str:
     """The content hash stored in (and checked against) the header."""
     h = hashlib.sha256()
-    h.update(f"{IR_VERSION}\n{key}\n".encode())
+    h.update(f"{IR_VERSION}\n{EMITTER_DIGEST}\n{key}\n".encode())
     h.update(body.encode())
     return h.hexdigest()
 

@@ -12,13 +12,24 @@ p-transfer contractions — into a graph of *typed tensor ops*:
     slices, reshapes, masks, ``np.where`` — anything elementwise).
 ``gather``
     A batched face-trace gather ``src[rows][:, cols]``.
+``stack``
+    Equal-shaped inputs stacked along a new leading axis
+    (``np.stack(..., axis=0)``) — the field-major plane block of the
+    elastic lowering.  A planned region writes each plane in place and
+    never runs the stack itself.
 ``extern``
     A call into the flux-model object (kept for model kinds the
     compiler does not lower; carries a *stage hint* so time-invariant
     externs such as ``velocity(x)`` can still be hoisted).
 ``arg`` / ``table`` / ``barg`` / ``const``
     Leaves: runtime kernel arguments, bind-time global tables,
-    bind-time per-mortar-batch values, and literal scalars.
+    bind-time per-mortar-batch values, and literal scalars.  A leaf may
+    declare its ``shape`` — ints plus one *lead* token (:data:`LEADS`:
+    ``"e"`` local elements, ``"a"`` local + ghost elements, ``"b"``
+    mortar-batch rows).  Declared shapes are what lets the emitter probe
+    every value's shape (:func:`probe_leaf`), slice the region's lead
+    into blocks, and give temporaries workspace slots; a graph without
+    them is emitted unblocked and unplanned, as before.
 
 Side effects are explicit: a :class:`Stmt` list orders accumulations,
 slice stores and scatters (``np.add.at``-style lifts).  Pure nodes
@@ -35,18 +46,29 @@ of the generated kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Ops with no side effects; everything else must flow through a Stmt.
 PURE_OPS = frozenset(
-    {"arg", "table", "barg", "const", "pw", "einsum", "gather", "extern"}
+    {"arg", "table", "barg", "const", "pw", "einsum", "gather", "stack", "extern"}
 )
 
 #: Leaf ops: emitted as a name / lookup, never as an assignment.
 LEAF_OPS = frozenset({"arg", "table", "barg", "const"})
 
 Attrs = Tuple[Tuple[str, Any], ...]
+
+#: Lead token of a declared leaf shape -> its extent in the two shape
+#: probes.  Consecutive integers, so a probed dimension pair ``(d0, d1)``
+#: that differs names its lead uniquely: ``k = d1 - d0`` rows-per-lead
+#: and ``d0 // k`` is the first-probe extent.
+LEADS: Dict[str, Tuple[int, int]] = {"e": (2, 3), "b": (4, 5), "a": (6, 7)}
+
+#: A leaf's declared shape: ints and at most one lead token.
+Shape = Tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -74,7 +96,8 @@ class Stmt:
     ``sym`` attr), ``"setitem"`` / ``"isetop"`` (``target[idx] = value``
     or ``target[idx] op= value`` with the index expression in ``idx``),
     ``"scatter"`` (the face lift: subtract ``value`` at
-    ``(rows[:, None], cols[None, :])`` of ``target``), or ``"ret"``.
+    ``(rows[:, None], cols[None, :])`` of ``target`` — or, with no
+    ``cols``, at the rows ``rows`` of a 2-D ``target``), or ``"ret"``.
     """
 
     kind: str
@@ -114,17 +137,21 @@ class Graph:
         self.nodes.append(node)
         return node.id
 
-    def arg(self, name: str) -> int:
+    def arg(self, name: str, shape: Optional[Shape] = None) -> int:
         """A runtime kernel argument (``q_local``, ``q_all``, ``t``)."""
-        return self.add("arg", name=name)
+        return self.add("arg", name=name, shape=shape)
 
-    def table(self, name: str) -> int:
+    def table(self, name: str, shape: Optional[Shape] = None) -> int:
         """A bind-time global table (geometry, quadrature, model scalars)."""
-        return self.add("table", name=name)
+        return self.add("table", name=name, shape=shape)
 
-    def barg(self, name: str) -> int:
-        """A bind-time per-mortar-batch value (``B[name]`` at bind)."""
-        return self.add("barg", name=name)
+    def barg(self, name: str, shape: Optional[Shape] = None, index: bool = False) -> int:
+        """A bind-time per-mortar-batch value (``B[name]`` at bind).
+
+        ``index=True`` marks an integer index array (probed as zeros, so
+        every probe gather stays in bounds).
+        """
+        return self.add("barg", name=name, shape=shape, index=index)
 
     def const(self, value: Any) -> int:
         """A literal scalar."""
@@ -138,21 +165,30 @@ class Graph:
         """A contraction; ``commutative`` lets CSE canonicalize operands."""
         return self.add("einsum", tuple(inputs), subs=subs, commutative=commutative)
 
-    def gather(self, src: int, rows: int, cols: int, fused: bool = False) -> int:
+    def gather(self, src: int, rows: int, cols: int) -> int:
         """The face-trace gather ``src[rows][:, cols]``.
 
-        ``fused=True`` emits the single fancy index
-        ``src[rows[:, None], cols[None, :]]`` — same values, one copy
-        instead of two, but a different output stride pattern, and
-        ``np.einsum``'s accumulation order is stride-dependent.  Only
-        the tolerance-validated elastic kind may fuse; the bit-exact
-        kinds keep the reference's two-step form.
+        Two steps on purpose: the single fancy index
+        ``src[rows[:, None], cols[None, :]]`` has the same values but
+        other output strides, and ``np.einsum``'s accumulation order is
+        stride-dependent — the bit-exact kinds keep the reference's form.
         """
-        return self.add("gather", (src, rows, cols), fused=fused)
+        return self.add("gather", (src, rows, cols))
 
-    def extern(self, method: str, *inputs: int, stage: str = "run") -> int:
-        """A call into the flux model; ``stage="bind"`` marks it hoistable."""
-        return self.add("extern", tuple(inputs), method=method, stage=stage)
+    def stack(self, *inputs: int) -> int:
+        """Equal-shaped inputs as the planes of one ``(len, ...)`` block."""
+        return self.add("stack", tuple(inputs))
+
+    def extern(
+        self, method: str, *inputs: int, stage: str = "run", like: Optional[str] = None
+    ) -> int:
+        """A call into the flux model; ``stage="bind"`` marks it hoistable.
+
+        ``like`` is a template over the inputs giving an array shaped as
+        the call's result — the shape probe's stand-in for the model,
+        which does not exist at compile time.
+        """
+        return self.add("extern", tuple(inputs), method=method, stage=stage, like=like)
 
     # -- statements ---------------------------------------------------------
 
@@ -171,7 +207,13 @@ class Graph:
         )
 
     def scatter(
-        self, target: int, rows: int, cols: int, value: int, sym: str = "-", tag: str = ""
+        self,
+        target: int,
+        rows: int,
+        cols: Optional[int],
+        value: int,
+        sym: str = "-",
+        tag: str = "",
     ) -> None:
         """Accumulate ``value`` into ``target`` at the batch's face nodes.
 
@@ -179,8 +221,11 @@ class Graph:
         batch's rows are unique (checked at bind time) and as
         ``np.subtract.at`` / ``np.add.at`` otherwise; the subtract forms
         are bit-identical to the reference ``np.add.at(..., -value)``
-        (IEEE-754 ``a - b == a + (-b)``).  ``tag`` suffixes the batch
-        index keys so one region may scatter to two index sets.
+        (IEEE-754 ``a - b == a + (-b)``).  ``tag`` suffixes the batch's
+        uniqueness key (``B["u" + tag]``) so one region may scatter to
+        two index sets.  ``cols=None`` is the flat form: ``rows`` indexes
+        the first axis of a 2-D ``target`` directly, which a planned
+        region runs as take / subtract / store through a workspace slot.
         """
         self.stmts.append(
             Stmt("scatter", self._region, target, value, sym=sym, rows=rows, cols=cols, tag=tag)
@@ -211,3 +256,49 @@ class Graph:
         if node.attr("commutative"):
             inputs = tuple(sorted(inputs))
         return (node.op, inputs, node.attrs)
+
+
+# --- Evaluation -------------------------------------------------------------
+
+
+def eval_template(expr: str, ins: Sequence[Any]) -> Any:
+    """Evaluate a ``pw`` template on concrete operands."""
+    keys = [f"_i{k}" for k in range(len(ins))]
+    scope: Dict[str, Any] = dict(zip(keys, ins))
+    scope["np"] = np
+    return eval(expr.format(*keys), {"__builtins__": {}}, scope)  # noqa: S307 - templates are compiler-owned
+
+
+def eval_op(node: Node, ins: Sequence[Any], model: Any = None) -> Any:
+    """The value of one pure non-leaf node on concrete operands.
+
+    The one definition of what the ops compute: the bind evaluator runs
+    it on the real tables, the shape probe on stand-ins.
+    """
+    if node.op == "pw":
+        return eval_template(str(node.attr("expr")), ins)
+    if node.op == "einsum":
+        return np.einsum(node.attr("subs"), *ins)
+    if node.op == "gather":
+        return ins[0][ins[1]][:, ins[2]]
+    if node.op == "stack":
+        return np.stack(list(ins), axis=0)
+    if node.op == "extern":
+        return getattr(model, node.attr("method"))(*ins)
+    raise ValueError(f"cannot evaluate op {node.op!r}")
+
+
+def probe_leaf(node: Node, which: int) -> Any:
+    """Stand-in for a leaf in shape probe ``which`` (0 or 1), or None.
+
+    Floats are ones (no probe divides by zero), indices zeros.
+    """
+    if node.op == "const":
+        return node.attr("value")
+    shape = node.attr("shape")
+    if shape is None:
+        return None
+    dims = tuple(LEADS[d][which] if isinstance(d, str) else d for d in shape)
+    if node.attr("index"):
+        return np.zeros(dims, dtype=np.int64)
+    return np.ones(dims) if dims else 1.0

@@ -26,12 +26,17 @@ Flux models are lowered per *kind*:
     fluid guard) folds with the geometry factors into bind-stage
     coefficient tables, and the kernel never materializes the
     ``(..., dim, dim)`` stress tensor or the ``(..., nf, dim)`` flux
-    block — each output row is one fused multiply-add chain.  This
-    reorders floating-point operations, so elastic kernels match the
-    interpreted reference to rounding (validated by tolerance), not
+    block — each output row is one multiply-add chain.  Inside a block
+    the fields are *planes*: ``q`` is transposed once to
+    ``(nf, rows, points)``, every chain reads and writes contiguous
+    planes (a flux component goes straight into its plane of a
+    ``stack``), the derivative along x and the mortar products are each
+    one GEMM over all planes, and one transpose brings the block back.
+    This reorders floating-point operations, so elastic kernels match
+    the interpreted reference to rounding (validated by tolerance), not
     bit-for-bit; the bit-exactness contract covers the advection and
     acoustic (wave) kinds.  Only ``boundary_state`` stays an extern
-    call (boundary faces are a measure-zero cost).
+    call, which keeps boundary batches out of blocking and planning.
 ``generic``
     Anything else — volume/numerical/boundary fluxes stay extern calls
     on the model object; hoisting still removes the geometry factors,
@@ -119,8 +124,8 @@ class _ModelLowering:
         self.dim = dim
         self.nfields = nfields
         if kind == "acoustic":
-            rho = g.table("rho")
-            c = g.table("c")
+            rho = g.table("rho", ())
+            c = g.table("c", ())
             # rho * c**2 and rho * c, hoisted: scalar float products are
             # exact regardless of when they are computed.
             self.rho = rho
@@ -128,7 +133,7 @@ class _ModelLowering:
             self.z = g.pw("{0} * {1}", rho, c)
             self.hz = g.pw("0.5 * {0}", self.z)
         elif kind == "advection":
-            self.inflow = g.table("inflow")
+            self.inflow = g.table("inflow", ())
         elif kind == "elastic":
             self.pairs = _VOIGT_PAIRS[dim]
             self.vk = _voigt_index(dim)
@@ -141,45 +146,41 @@ class _ModelLowering:
     def _material(self, x: int) -> Tuple[int, int, int]:
         """Bind-stage ``(rho, lam, mu)`` at the coordinate node ``x``."""
         g = self.g
-        m = g.extern("material", x, stage="bind")
+        m = g.extern(
+            "material", x, stage="bind", like="np.ones((3,) + {0}.shape[:-1])"
+        )
         return g.pw("{0}[0]", m), g.pw("{0}[1]", m), g.pw("{0}[2]", m)
 
     def _mac(self, terms: List[Tuple[int, int]], negate: bool = False) -> int:
-        """One fused ``sum coef * val`` (optionally negated) expression."""
+        """One ``sum coef * val`` (optionally negated) expression."""
         expr = " + ".join(f"{{{2 * i}}} * {{{2 * i + 1}}}" for i in range(len(terms)))
         if negate:
             expr = f"-({expr})"
         return self.g.pw(expr, *[nid for pair in terms for nid in pair])
 
-    def _stack(self, comps: List[int]) -> int:
-        """Stack per-field scalar components into one ``(..., nf)`` array."""
-        expr = (
-            "np.stack(["
-            + ", ".join(f"{{{i}}}" for i in range(len(comps)))
-            + "], axis=-1)"
-        )
-        return self.g.pw(expr, *comps)
+    def planes(self, qs: int) -> int:
+        """``qs`` of shape ``(rows, points, nf)`` as ``(nf, rows, points)``.
 
-    def _q_fields(self, qs: int) -> Tuple[List[int], List[int], int]:
-        """Momentum slices, Voigt-strain slices, and the strain trace.
-
-        The field axis is transposed out first (one contiguous copy), so
-        every per-field plane the multiply-add chains read is contiguous
-        — strided ``q[..., k]`` views cost ~3x the bandwidth per pass.
+        One contiguous transposing copy, so every per-field plane the
+        multiply-add chains read is contiguous — strided ``q[..., k]``
+        views cost ~3x the bandwidth per pass.
         """
+        return self.g.pw("np.ascontiguousarray(np.moveaxis({0}, -1, 0))", qs)
+
+    def _q_fields(self, qT: int) -> Tuple[List[int], List[int], int]:
+        """Momentum planes, Voigt-strain planes, and the strain trace."""
         g, dim = self.g, self.dim
-        qT = g.pw("np.ascontiguousarray(np.moveaxis({0}, -1, 0))", qs)
         m = [g.pw(f"{{0}}[{i}]", qT) for i in range(dim)]
         E = [g.pw(f"{{0}}[{dim + k}]", qT) for k in range(len(self.pairs))]
         tr = g.pw(" + ".join(f"{{{a}}}" for a in range(dim)), *E[:dim])
         return m, E, tr
 
-    def elastic_volume_axis(self, q: int, x: int, ja: int, dw: int) -> int:
+    def elastic_volume_axis(self, qT: int, x: int, ja: int, dw: int) -> int:
         """Volume flux contracted against one metric row, detJ-w folded.
 
-        Returns ``(jinv_a . F(q, x)) * w detJ`` of shape ``(e, p, nf)``
+        Returns ``(jinv_a . F(q, x)) * w detJ`` as planes ``(nf, e, p)``
         without building ``sigma`` or ``F``: the flux is linear in ``q``,
-        so each row is ``sum_c coef_c(x) * q_slice_c`` with the
+        so each row is ``sum_c coef_c(x) * q_plane_c`` with the
         coefficients (material x metric x quadrature) hoisted to bind.
         """
         g, dim = self.g, self.dim
@@ -195,7 +196,7 @@ class _ModelLowering:
         ncl = [g.pw("-{0} * {1} * {2}", jc[i], lam, dw) for i in range(dim)]
         nh = [g.pw("-0.5 * {0} * {1} * {2}", jc[c], invrho, dw) for c in range(dim)]
         nd = [g.pw("-{0} * {1} * {2}", jc[i], invrho, dw) for i in range(dim)]
-        m, E, tr = self._q_fields(q)
+        m, E, tr = self._q_fields(qT)
         comps = [
             self._mac(
                 [(ntm[c], E[self.vk[i, c]]) for c in range(dim)] + [(ncl[i], tr)]
@@ -207,18 +208,20 @@ class _ModelLowering:
                 comps.append(g.pw("{0} * {1}", nd[i], m[i]))
             else:
                 comps.append(self._mac([(nh[i], m[j]), (nh[j], m[i])]))
-        return self._stack(comps)
+        return g.stack(*comps)
 
-    def elastic_face_out(self, qm: int, qp: int, n: int, sjw: int, xf: int) -> int:
+    def elastic_face_out(self, qmT: int, qpT: int, n: int, sjw: int, xf: int) -> int:
         """Lifted Godunov elastic interface flux, ``sj * wf`` folded in.
 
-        Same Riemann solution as ``ElasticModel.numerical_flux`` —
-        normal/tangential split, P and S stars, fluid (mu -> 0) guard —
-        but algebraically consolidated: expanding the tangential
-        projections ``Tt = T - Tn n`` and ``vt = v/rho - vn n`` into the
-        star and output rows turns every row into a short multiply-add
-        chain over *raw field* sums/differences, with the normal
-        projections absorbed into three Riemann scalars::
+        Takes both traces and returns the flux as planes
+        ``(nf, rows, face points)``.  Same Riemann solution as
+        ``ElasticModel.numerical_flux`` — normal/tangential split, P and
+        S stars, fluid (mu -> 0) guard — but algebraically consolidated:
+        expanding the tangential projections ``Tt = T - Tn n`` and
+        ``vt = v/rho - vn n`` into the star and output rows turns every
+        row into a short multiply-add chain over *raw field*
+        sums/differences, with the normal projections absorbed into
+        three Riemann scalars::
 
             S_v = (1/2z_p - 1/2z_s) (Tn+ - Tn-)
             S_m = (s/2 - 1/2) (Tn- + Tn+) + (z_s - z_p)/2 (vn+ - vn-)
@@ -259,8 +262,8 @@ class _ModelLowering:
         nnw = [g.pw("-{0}", ncw[i]) for i in range(dim)]
         nhnw = [g.pw("-0.5 * {0}", ncw[i]) for i in range(dim)]
 
-        def side(qs: int) -> Tuple[List[int], List[int], int, int]:
-            m, E, tr = self._q_fields(qs)
+        def side(qT: int) -> Tuple[List[int], List[int], int, int]:
+            m, E, tr = self._q_fields(qT)
             T = [
                 self._mac(
                     [(ct[c], E[self.vk[i, c]]) for c in range(dim)] + [(cln[i], tr)]
@@ -271,8 +274,8 @@ class _ModelLowering:
             vn = self._mac([(cvn[i], m[i]) for i in range(dim)])
             return m, T, Tn, vn
 
-        mm, Tm, Tmn, vmn = side(qm)
-        mp, Tp, Tpn, vpn = side(qp)
+        mm, Tm, Tmn, vmn = side(qmT)
+        mp, Tp, Tpn, vpn = side(qpT)
         TnS = g.pw("{0} + {1}", Tmn, Tpn)
         dTn = g.pw("{0} - {1}", Tpn, Tmn)
         dvn = g.pw("{0} - {1}", vpn, vmn)
@@ -301,19 +304,23 @@ class _ModelLowering:
                 comps.append(g.pw("{0} * {1}", nnw[i], vstar[i]))
             else:
                 comps.append(self._mac([(nhnw[i], vstar[j]), (nhnw[j], vstar[i])]))
-        return self._stack(comps)
+        return g.stack(*comps)
 
     def _vn(self, n: int, xf: int) -> int:
         g = self.g
-        v = g.extern("velocity", xf, stage="bind")
-        return g.einsum("...c,...c->...", v, self._nsl(n))
+        return g.einsum("...c,...c->...", self._velocity(xf), self._nsl(n))
+
+    def _velocity(self, x: int) -> int:
+        """The advection velocity table at ``x`` (time-invariant by contract)."""
+        return self.g.extern(
+            "velocity", x, stage="bind", like=f"np.ones({{0}}.shape[:-1] + ({self.dim},))"
+        )
 
     def volume_flux(self, q: int, x: int) -> int:
         """F(q, x) exactly as the model computes it."""
         g, dim = self.g, self.dim
         if self.kind == "advection":
-            v = g.extern("velocity", x, stage="bind")
-            return g.pw("{0}[..., :, None] * {1}[..., None, :]", q, v)
+            return g.pw("{0}[..., :, None] * {1}[..., None, :]", q, self._velocity(x))
         if self.kind == "acoustic":
             F = g.pw(
                 f"np.zeros({{0}}.shape[:-1] + ({self.nfields}, {dim}))", q
@@ -383,53 +390,61 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
     The kernel contract is ``kernel(q_local, q_all, t, P, model) -> r``
     on 3D-shaped fields ``(ne, npts, nfields)``; the ghost exchange and
     the 2D squeeze/unsqueeze stay in the caller (communication never
-    enters a compiled kernel).
+    enters a compiled kernel).  Every leaf declares its shape; the
+    coordinate tables are declared at ``dim`` components (only the
+    model's own methods read them, and their stand-ins' shapes do not
+    depend on the last axis).
     """
     if kind not in DG_KINDS:
         raise ValueError(f"unknown dG lowering kind: {kind!r}")
     nq = degree + 1
     npts = nq**dim
+    nfp = nq ** (dim - 1)
+    nf = nfields
     g = Graph()
-    q = g.arg("q_local")
-    qa = g.arg("q_all")
-    t = g.arg("t")
-    x = g.table("x")
-    jinv = g.table("jinv")
-    detj = g.table("detj")
-    wts = g.table("weights")
-    D = g.table("D")
-    wf = g.table("wf")
-    lift = g.table("lift")
-    ml = _ModelLowering(g, kind, dim, nfields)
+    q = g.arg("q_local", ("e", npts, nf))
+    qa = g.arg("q_all", ("a", npts, nf))
+    t = g.arg("t", ())
+    x = g.table("x", ("e", npts, dim))
+    jinv = g.table("jinv", ("e", npts, dim, dim))
+    detj = g.table("detj", ("e", npts))
+    wts = g.table("weights", (npts,))
+    D = g.table("D", (nq, nq))
+    wf = g.table("wf", (nfp,))
+    lift = g.table("lift", ("e", npts))
+    ml = _ModelLowering(g, kind, dim, nf)
 
     # Volume: r = sum_a D_a^T [ (jinv_a . F) * w detJ ]  (dg.DGSolver._volume)
-    shape_in = ", ".join(["ne"] + [str(nq)] * dim + ["nf"])
+    shape_in = ", ".join(["-1"] + [str(nq)] * dim + [str(nf)])
     if kind == "elastic":
         # Linear-flux fast path: contract metric, material and
         # quadrature factors into per-axis coefficient tables at bind
-        # time; no F or sigma tensor is ever materialized.  D^T runs as
-        # one batched BLAS matmul per axis — in every _DT_SUBS entry the
-        # contracted q sits immediately before a contiguous trailing
-        # block of size nf * nq**a, so a flat reshape exposes it.  The
-        # axis-0 contribution *initializes* r (no zeros + accumulate
-        # pass over a full field-sized array).
+        # time; no F or sigma tensor is ever materialized.  On planes
+        # ``(nf, e, z, y, x)`` the contracted index of axis ``a`` sits
+        # before a contiguous trailing block of ``nq**a`` points, so a
+        # flat reshape exposes D^T as one GEMM along x and one batched
+        # BLAS matmul along the other axes.  The axis-0 contribution
+        # *initializes* the sum (no zeros + accumulate pass), and the
+        # returned array is written once, by the transpose back.
         dw = g.pw("{0} * {1}[None, :]", detj, wts)
         dt = g.pw("np.ascontiguousarray({0}.T)", D)
-        r = -1
+        qT = ml.planes(q)
+        rT = -1
         for a in range(dim):
             ja = g.pw(f"{{0}}[:, :, {a}, :]", jinv)
-            Fa = ml.elastic_volume_axis(q, x, ja, dw)
-            trail = nfields * nq**a
-            contrib = g.pw(
-                f"np.matmul({{0}}, {{1}}.reshape(-1, {nq}, {trail}))"
-                f".reshape(ne, {npts}, nf)",
-                dt,
-                Fa,
-            )
-            if r < 0:
-                r = contrib
+            Fa = ml.elastic_volume_axis(qT, x, ja, dw)
+            if a == 0:
+                product = f"np.matmul({{1}}.reshape(-1, {nq}), {{0}})"
+                contrib = g.pw(f"{product}.reshape({nf}, -1, {npts})", D, Fa)
             else:
-                g.iop("+", r, contrib)
+                product = f"np.matmul({{0}}, {{1}}.reshape(-1, {nq}, {nq**a}))"
+                contrib = g.pw(f"{product}.reshape({nf}, -1, {npts})", dt, Fa)
+            if rT < 0:
+                rT = contrib
+            else:
+                g.iop("+", rT, contrib)
+        r = g.pw("np.empty_like({0})", q)
+        g.setitem(r, ":", g.pw("np.moveaxis({0}, 0, -1)", rT))
     else:
         r = g.pw("np.zeros_like({0})", q)
         F = ml.volume_flux(q, x)
@@ -439,75 +454,70 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
             Fa = g.pw("{0} * {1}", g.einsum("epc,epfc->epf", ja, F), detw)
             gre = g.pw(f"{{0}}.reshape({shape_in})", Fa)
             out = g.einsum(_DT_SUBS[(dim, a)], D, gre)
-            g.iop("+", r, g.pw(f"{{0}}.reshape(ne, {npts}, nf)", out))
+            g.iop("+", r, g.pw(f"{{0}}.reshape(-1, {npts}, {nf})", out))
 
-    # The fused single-fancy-index gather changes output strides (hence
-    # einsum accumulation order); only the tolerance-validated elastic
-    # kind uses it.  The others keep the reference's two-step gather.
-    fuse = kind == "elastic"
+    def batch_leaves(*names: str) -> List[int]:
+        shapes = {
+            "fidx": (nfp,), "pidx": (nfp,), "em": ("b",), "ep": ("b",),
+            "n": ("b", nfp, dim), "sj": ("b", nfp), "xf": ("b", nfp, dim),
+            "tr": (nfp, nfp),
+        }
+        return [
+            g.barg(nm, shapes[nm], index=nm in ("fidx", "pidx", "em", "ep")) for nm in names
+        ]
 
-    def flux_and_lift(qm: int, qp: int, n: int, sj: int, xf: int) -> int:
-        if kind == "elastic":
+    if kind == "elastic":
+        # Faces on planes too: one flat-index take per trace (rows of nf
+        # contiguous values), one transpose in, the mortar products as
+        # one GEMM over all planes, one transpose out, and a lift that
+        # goes through a workspace slot (take / subtract / store).
+        r2 = g.pw(f"{{0}}.reshape(-1, {nf})", r)
+
+        def flat(elems: int, idx: int) -> int:
+            return g.pw(f"{{0}}[:, None] * {npts} + {{1}}[None, :]", elems, idx)
+
+        def trace(rows: int) -> int:
+            return g.pw(f"np.take({{0}}.reshape(-1, {nf}), {{1}}, axis=0, mode='clip')", qa, rows)
+
+        def mortar(planes: int, mat: int) -> int:
+            product = f"np.matmul({{0}}.reshape(-1, {nfp}), {{1}})"
+            return g.pw(f"{product}.reshape({nf}, -1, {nfp})", planes, mat)
+
+        def lifted(qmT: int, qpT: int, n: int, sj: int, xf: int) -> int:
             sjw = g.pw("{0} * {1}[None, :]", sj, wf)
-            return ml.elastic_face_out(qm, qp, n, sjw, xf)
-        flux = ml.numerical_flux(qm, qp, n, xf)
-        sjwf = g.pw("({0} * {1}[None, :])[..., None]", sj, wf)
-        return g.pw("{0} * {1}", flux, sjwf)
+            return ml.elastic_face_out(qmT, qpT, n, sjw, xf)
 
-    def mortar(tr_n: int, qf: int) -> int:
-        # The mortar interpolation is a small stacked GEMM; BLAS beats
-        # c_einsum ~10x but sums in a different order, so only the
-        # tolerance-validated elastic kind may use it.
-        if kind == "elastic":
-            return g.pw("np.matmul({0}, {1})", tr_n, qf)
-        return g.einsum("qs,esf->eqf", tr_n, qf)
+        def rows_of(planes: int) -> int:
+            return g.pw("np.ascontiguousarray(np.moveaxis({0}, 0, -1))", planes)
 
-    # Conforming / fine mortars: evaluate at my face nodes.
-    g.region("face_cf")
-    fidx = g.barg("fidx")
-    pidx = g.barg("pidx")
-    em = g.barg("em")
-    ep = g.barg("ep")
-    n = g.barg("n")
-    sj = g.barg("sj")
-    xf = g.barg("xf")
-    tr = g.barg("tr")
-    qm = g.gather(qa, em, fidx, fused=fuse)
-    qp = mortar(tr, g.gather(qa, ep, pidx, fused=fuse))
-    g.scatter(r, em, fidx, flux_and_lift(qm, qp, n, sj, xf))
+        g.region("face_cf")
+        fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
+            "fidx", "pidx", "em", "ep", "n", "sj", "xf", "tr"
+        )
+        trT = g.pw("np.ascontiguousarray({0}.T)", tr)
+        rows_m = flat(em, fidx)
+        qmT = ml.planes(trace(rows_m))
+        qpT = mortar(ml.planes(trace(flat(ep, pidx))), trT)
+        g.scatter(r2, rows_m, None, rows_of(lifted(qmT, qpT, n, sj, xf)))
 
-    # Boundary faces: exterior trace from the model's boundary condition.
-    g.region("face_b")
-    fidx_b = g.barg("fidx")
-    em_b = g.barg("em")
-    n_b = g.barg("n")
-    sj_b = g.barg("sj")
-    xf_b = g.barg("xf")
-    qm_b = g.gather(qa, em_b, fidx_b, fused=fuse)
-    qp_b = ml.boundary_state(qm_b, n_b, xf_b, t)
-    g.scatter(r, em_b, fidx_b, flux_and_lift(qm_b, qp_b, n_b, sj_b, xf_b))
+        g.region("face_b")
+        fidx, em, n, sj, xf = batch_leaves("fidx", "em", "n", "sj", "xf")
+        rows_m = flat(em, fidx)
+        qm = trace(rows_m)
+        qp = ml.boundary_state(qm, n, xf, t)
+        out = lifted(ml.planes(qm), ml.planes(qp), n, sj, xf)
+        g.scatter(r2, rows_m, None, rows_of(out))
 
-    # Coarse mortars: evaluate at the fine partner's nodes, lift through
-    # the transposed interpolation.
-    g.region("face_coarse")
-    fidx_c = g.barg("fidx")
-    pidx_c = g.barg("pidx")
-    em_c = g.barg("em")
-    ep_c = g.barg("ep")
-    n_c = g.barg("n")
-    sj_c = g.barg("sj")
-    xf_c = g.barg("xf")
-    tr_c = g.barg("tr")
-    qm_c = mortar(tr_c, g.gather(qa, em_c, fidx_c, fused=fuse))
-    qp_c = g.gather(qa, ep_c, pidx_c, fused=fuse)
-    contrib_c = flux_and_lift(qm_c, qp_c, n_c, sj_c, xf_c)
-    if kind == "elastic":
-        lifted_c = g.pw("np.matmul({0}.T, {1})", tr_c, contrib_c)
-    else:
-        lifted_c = g.einsum("qi,eqf->eif", tr_c, contrib_c)
-    g.scatter(r, em_c, fidx_c, lifted_c)
+        g.region("face_coarse")
+        fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
+            "fidx", "pidx", "em", "ep", "n", "sj", "xf", "tr"
+        )
+        trT = g.pw("np.ascontiguousarray({0}.T)", tr)
+        rows_m = flat(em, fidx)
+        qmT = mortar(ml.planes(trace(rows_m)), trT)
+        qpT = ml.planes(trace(flat(ep, pidx)))
+        g.scatter(r2, rows_m, None, rows_of(mortar(lifted(qmT, qpT, n, sj, xf), tr)))
 
-    if kind == "elastic":
         # Paired conforming faces: each geometric interior face whose
         # two sides are both local is visited ONCE (the reference and
         # the other kinds visit it twice, once per owning element).  By
@@ -517,18 +527,49 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
         # Orientation permutations are folded into ``pidx`` at bind
         # time (prepare_dg_rhs), so no mortar interpolation appears.
         g.region("face_pair")
-        fidx_p = g.barg("fidx")
-        pidx_p = g.barg("pidx")
-        em_p = g.barg("em")
-        ep_p = g.barg("ep")
-        n_p = g.barg("n")
-        sj_p = g.barg("sj")
-        xf_p = g.barg("xf")
-        qm_p = g.gather(qa, em_p, fidx_p, fused=True)
-        qp_p = g.gather(qa, ep_p, pidx_p, fused=True)
-        out_p = flux_and_lift(qm_p, qp_p, n_p, sj_p, xf_p)
-        g.scatter(r, em_p, fidx_p, out_p)
-        g.scatter(r, ep_p, pidx_p, out_p, sym="+", tag="p")
+        fidx, pidx, em, ep, n, sj, xf = batch_leaves(
+            "fidx", "pidx", "em", "ep", "n", "sj", "xf"
+        )
+        rows_m = flat(em, fidx)
+        rows_p = flat(ep, pidx)
+        out = rows_of(lifted(ml.planes(trace(rows_m)), ml.planes(trace(rows_p)), n, sj, xf))
+        g.scatter(r2, rows_m, None, out)
+        g.scatter(r2, rows_p, None, out, sym="+", tag="p")
+    else:
+
+        def flux_and_lift(qm: int, qp: int, n: int, sj: int, xf: int) -> int:
+            flux = ml.numerical_flux(qm, qp, n, xf)
+            sjwf = g.pw("({0} * {1}[None, :])[..., None]", sj, wf)
+            return g.pw("{0} * {1}", flux, sjwf)
+
+        # Conforming / fine mortars: evaluate at my face nodes.  The
+        # two-step gather and the c_einsum mortar product are the
+        # reference's own (BLAS sums in another order).
+        g.region("face_cf")
+        fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
+            "fidx", "pidx", "em", "ep", "n", "sj", "xf", "tr"
+        )
+        qm = g.gather(qa, em, fidx)
+        qp = g.einsum("qs,esf->eqf", tr, g.gather(qa, ep, pidx))
+        g.scatter(r, em, fidx, flux_and_lift(qm, qp, n, sj, xf))
+
+        # Boundary faces: exterior trace from the model's boundary condition.
+        g.region("face_b")
+        fidx, em, n, sj, xf = batch_leaves("fidx", "em", "n", "sj", "xf")
+        qm = g.gather(qa, em, fidx)
+        qp = ml.boundary_state(qm, n, xf, t)
+        g.scatter(r, em, fidx, flux_and_lift(qm, qp, n, sj, xf))
+
+        # Coarse mortars: evaluate at the fine partner's nodes, lift
+        # through the transposed interpolation.
+        g.region("face_coarse")
+        fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
+            "fidx", "pidx", "em", "ep", "n", "sj", "xf", "tr"
+        )
+        qm = g.einsum("qs,esf->eqf", tr, g.gather(qa, em, fidx))
+        qp = g.gather(qa, ep, pidx)
+        contrib = flux_and_lift(qm, qp, n, sj, xf)
+        g.scatter(r, em, fidx, g.einsum("qi,eqf->eif", tr, contrib))
 
     # Tail: inverse diagonal mass.
     g.region("tail")
@@ -551,9 +592,9 @@ def lower_cg_elem_laplacian(dim: int, degree: int) -> Graph:
     nq = degree + 1
     npts = nq**dim
     g = Graph()
-    wdet = g.arg("wdet")
-    jinv = g.table("jinv")
-    Gt = [g.table(f"g{a}") for a in range(dim)]
+    wdet = g.arg("wdet", ("e", npts))
+    jinv = g.table("jinv", ("e", npts, dim, dim))
+    Gt = [g.table(f"g{a}", (npts, npts)) for a in range(dim)]
     K = g.pw(f"np.zeros(({{0}}.shape[0], {npts}, {npts}))", wdet)
     for a in range(dim):
         ja = g.pw(f"{{0}}[:, :, {a}, :]", jinv)
@@ -573,7 +614,7 @@ def lower_cg_elem_mass(dim: int, degree: int) -> Graph:
     nq = degree + 1
     npts = nq**dim
     g = Graph()
-    wdet = g.arg("wdet")
+    wdet = g.arg("wdet", ("e", npts))
     M = g.pw(f"np.zeros(({{0}}.shape[0], {npts}, {npts}))", wdet)
     g.setitem(M, ":, _DIDX, _DIDX", wdet)
     g.ret(M)

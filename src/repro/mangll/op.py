@@ -153,6 +153,12 @@ class BoundDGOperator:
     geometric tables feed the compiled kernel's bind stage, and
     ``stable_dt`` / ``integrate_quantity`` (cheap, reduction-bound)
     always run interpreted.
+
+    A compiled binding owns one workspace (``P["ws"]``, allocated here,
+    at bind) that every block of every ``rhs`` call computes in: the
+    array ``rhs`` returns is fresh each time, but two ``rhs`` calls on
+    *one* binding must not overlap.  Bind the spec again for a second
+    concurrent user — bindings share nothing.
     """
 
     def __init__(self, space: DGSpace, model: Any, comm: Comm, compile: bool) -> None:

@@ -43,6 +43,10 @@ RK_C = np.array(
 )
 
 
+#: Entries per block of the stage update (256 KiB per array, three arrays).
+_STAGE_BLOCK_ITEMS = 1 << 15
+
+
 def _as_rhs(rhs):
     """Accept ``rhs(q, t)`` or any operator exposing ``.rhs(q, t)``.
 
@@ -68,31 +72,38 @@ def lsrk45_step(
     accepted too).  Uses the classic 2N-storage update
     ``k = A_s k + dt f(q, t + C_s dt); q = q + B_s k``.  ``q`` is not
     modified; the updated state is returned.  ``work`` optionally reuses
-    the register array.
+    the register array (any contents: the first stage overwrites it).
 
-    The stage loop reuses the array ``rhs`` returns as scratch for the
+    The stage update reuses the array ``rhs`` returns as scratch for the
     ``dt``-scaling and the ``B_s k`` increment (every operator in this
     package returns a fresh array; returns that alias other storage are
-    detected and copied).  Each reused product is the same IEEE-754
-    operation the 2N formula above performs, so trajectories are
-    bit-identical to the naive expression.
+    detected and copied), and runs block by block over the leading axis
+    so its five passes find ``k``, ``r`` and ``q`` in cache instead of
+    streaming each from memory five times.  Each entry still sees the
+    same five IEEE-754 operations the 2N formula above performs, in the
+    same order, so trajectories are bit-identical to the naive
+    expression.
     """
     rhs = _as_rhs(rhs)
     q = q.copy()
-    k = np.zeros_like(q) if work is None else work
-    if work is not None:
-        k.fill(0.0)
+    k = np.empty_like(q) if work is None else work
+    qv, kv = np.atleast_1d(q), np.atleast_1d(k)
+    rows = max(1, _STAGE_BLOCK_ITEMS // max(qv[:1].size, 1))
     for s in range(5):
-        if s:
-            k *= RK_A[s]
         r = rhs(q, t + RK_C[s] * dt)
         if r.base is not None or not r.flags.writeable:
-            r = r * dt
-        else:
-            r *= dt
-        k += r
-        np.multiply(k, RK_B[s], out=r)
-        q += r
+            r = r.copy()
+        rv = np.atleast_1d(r)
+        for i in range(0, len(qv), rows):
+            kb, rb, qb = kv[i : i + rows], rv[i : i + rows], qv[i : i + rows]
+            if s:
+                kb *= RK_A[s]
+            else:
+                kb.fill(0.0)
+            rb *= dt
+            kb += rb
+            np.multiply(kb, RK_B[s], out=rb)
+            qb += rb
     return q
 
 
@@ -115,16 +126,16 @@ def lsrk45_integrate(
     rhs = _as_rhs(rhs)
     t = t0
     istep = 0
-    work = np.zeros_like(q)
+    work = np.empty_like(q)
     while t < t1 - 1e-12 * max(1.0, abs(t1)):
         step = min(dt, t1 - t)
         if work.shape != q.shape:
-            work = np.zeros_like(q)
+            work = np.empty_like(q)
         q = lsrk45_step(q, t, step, rhs, work)
         t += step
         istep += 1
         if step_hook is not None:
             q = step_hook(q, t, istep)
             if q.shape != work.shape:
-                work = np.zeros_like(q)
+                work = np.empty_like(q)
     return q

@@ -280,6 +280,32 @@ def test_cache_stale_fingerprint_regenerates(tmp_path):
     assert again.disk_hits == 1 and again.stale == 0
 
 
+def test_cache_rejects_an_entry_from_another_emitter(tmp_path, monkeypatch):
+    """The forgotten-``IR_VERSION``-bump case: a self-consistent entry
+    written by *other* compiler source is stale, gets rebuilt, and its
+    body never runs."""
+    from repro.mangll.compiler import cache as cache_mod
+
+    key = kc.transfer_cache_key(2, 2)
+    writer = KernelCache(str(tmp_path))
+    monkeypatch.setattr(cache_mod, "EMITTER_DIGEST", "another-emitter")
+    # What that emitter published: a valid header over a body that must
+    # not be exec'd here.
+    poison = "raise AssertionError('a kernel from another emitter was exec-ed')\n"
+    writer._publish(key, poison)
+    assert writer._load_disk(key) == poison  # consistent under its own digest
+    monkeypatch.undo()
+
+    reader = KernelCache(str(tmp_path))
+    compiled = kc.compile_transfer(2, 2, cache=reader)
+    assert reader.stale == 1 and reader.misses == 1 and reader.disk_hits == 0
+    assert callable(compiled.fn("transfer"))
+    # The rebuilt entry replaced it on disk.
+    again = KernelCache(str(tmp_path))
+    kc.compile_transfer(2, 2, cache=again)
+    assert again.disk_hits == 1 and again.stale == 0
+
+
 def test_cache_memory_only_mode():
     cache = KernelCache(None)
     compiled = kc.compile_dg_rhs(2, 2, 1, "advection", cache=cache)
