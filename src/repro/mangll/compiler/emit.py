@@ -55,7 +55,17 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .ir import LEADS, LEAF_OPS, Graph, Node, Stmt, eval_op, eval_template, probe_leaf
+from .ir import (
+    LEADS,
+    LEAF_OPS,
+    Graph,
+    Node,
+    Stmt,
+    eval_op,
+    eval_template,
+    expression_code,
+    probe_leaf,
+)
 from .passes import Buffer, Line, Plan, assign_slots, block_rows, plan as run_passes
 
 #: Face regions in emission (and reference batch-dispatch) order.
@@ -399,24 +409,19 @@ class _Region:
 
     def _stack(self, node: Node) -> _Val:
         """A plane block: each input is written straight into its plane."""
-        members = [self.g.node(self.p.canon(i)) for i in node.inputs]
-        probes = []
-        for m in members:
-            pr = self.ctx.probe(m.id)
-            if pr is None:
-                raise _Unplannable("a value of unknown shape")
-            probes.append(pr)
-        probe = _pair(lambda w: np.stack([pr[w] for pr in probes], axis=0))
+        probe = self.ctx.probe(node.id)
+        if probe is None:
+            raise _Unplannable("a value of unknown shape")
         try:
             k = self._new_buffer(probe, slot=True)
         except _Unsupported:
             return self._plain(node, [self.val(i) for i in node.inputs])
-        for j, m in enumerate(members):
+        for j, cid in enumerate(map(self.p.canon, node.inputs)):
             plane = _Val(f"w{k}[{j}]", (probe[0][j], probe[1][j]), frozenset({k}))
-            if m.id in self.p.inline and m.id not in self.scope and m.op not in LEAF_OPS:
-                self.define(m, dest=plane)
+            if cid in self.p.inline and cid not in self.scope:
+                self.define(self.g.node(cid), dest=plane)
             else:
-                self._into(plane, self.val(m.id))
+                self._into(plane, self.val(cid))
         return _Val(f"w{k}", probe, frozenset({k}), own=k)
 
     # -- templates as ufunc sequences ---------------------------------------
@@ -436,7 +441,7 @@ class _Region:
     ) -> _Val:
         """``np.fn(*args, out=...)`` into ``dest`` or a fresh slot."""
         func = getattr(np, fn)
-        kw = eval(f"dict({kwargs})", {"__builtins__": {}}, {"dict": dict})  # noqa: S307
+        kw = eval(f"dict({kwargs})", {"__builtins__": {}}, {"dict": dict}) if kwargs else {}  # noqa: S307
         probes = [self._probe_of(a) for a in args]
         with np.errstate(all="ignore"):
             probe = _pair(lambda w: func(*[p[w] for p in probes], **kw))
@@ -470,12 +475,10 @@ class _Region:
     def _view(self, base: _Val, suffix: str, dest: Optional[_Val], prefix: str = "") -> _Val:
         """``prefix base suffix`` where NumPy returns a view of ``base``."""
         base_probe = self._probe_of(base)
-        scope = {"np": np}
+        code = expression_code(f"{prefix}_x{suffix}")
         try:
             probe = _pair(
-                lambda w: eval(  # noqa: S307
-                    f"{prefix}_x{suffix}", {"__builtins__": {}}, {**scope, "_x": base_probe[w]}
-                )
+                lambda w: eval(code, {"__builtins__": {}}, {"np": np, "_x": base_probe[w]})  # noqa: S307
             )
         except Exception as exc:  # noqa: BLE001 - not a view NumPy can take of this operand
             raise _Unsupported from exc
@@ -538,7 +541,7 @@ class _Region:
                 return self._copy(self._walk(t.args[0], ins, None), dest)
             if name in _ALLOCS and not t.keywords:
                 names = {f"_i{j}": self._probe_of(v) for j, v in enumerate(ins)}
-                code = ast.unparse(t)
+                code = expression_code(ast.unparse(t))
                 probe = _pair(
                     lambda w: eval(  # noqa: S307
                         code, {"__builtins__": {}}, {"np": np, **{n: p[w] for n, p in names.items()}}
@@ -974,6 +977,8 @@ def assert_communication_free(source: str, key: str) -> None:
     layering and hide communication from spmdlint's registry.
     """
     banned = collective_call_names()
+    if not any(name in source for name in banned):
+        return  # a call has to spell its callee: nothing to look for
     # CPython's AST constructor is not safe under concurrent parses
     # (``SystemError: AST constructor recursion depth mismatch``), and
     # thread-backend ranks do bind — hence compile — concurrently.

@@ -47,6 +47,8 @@ of the generated kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import CodeType
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -261,12 +263,18 @@ class Graph:
 # --- Evaluation -------------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
+def expression_code(source: str) -> CodeType:
+    """``source`` compiled once: binds and probes evaluate it many times."""
+    return compile(source, "<repro-kernel template>", "eval")
+
+
 def eval_template(expr: str, ins: Sequence[Any]) -> Any:
     """Evaluate a ``pw`` template on concrete operands."""
     keys = [f"_i{k}" for k in range(len(ins))]
     scope: Dict[str, Any] = dict(zip(keys, ins))
     scope["np"] = np
-    return eval(expr.format(*keys), {"__builtins__": {}}, scope)  # noqa: S307 - templates are compiler-owned
+    return eval(expression_code(expr.format(*keys)), {"__builtins__": {}}, scope)  # noqa: S307 - templates are compiler-owned
 
 
 def eval_op(node: Node, ins: Sequence[Any], model: Any = None) -> Any:

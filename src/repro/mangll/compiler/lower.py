@@ -189,12 +189,13 @@ class _ModelLowering:
         twomu = g.pw("2.0 * {0}", mu)
         jc = [g.pw(f"{{0}}[..., {c}]", ja) for c in range(dim)]
         # Momentum rows: -(ja . sigma)_i = -[ sum_c (ja_c 2mu) E_k(i,c)
-        # + (ja_i lam) tr E ]; strain rows: -(h_i m_j + h_j m_i) with
-        # h_c = ja_c / (2 rho).  All coefficients carry the w detJ
-        # factor and the minus sign, so no run-stage negation pass.
+        # + (ja_i lam) tr E ]; strain rows: -(d_i m_j + d_j m_i) / 2 with
+        # d_c = ja_c / rho.  All coefficients carry the w detJ factor
+        # and the minus sign, so no run-stage negation pass; the halving
+        # is one exact run-stage multiply instead of a second table per
+        # metric component.
         ntm = [g.pw("-{0} * {1} * {2}", jc[c], twomu, dw) for c in range(dim)]
         ncl = [g.pw("-{0} * {1} * {2}", jc[i], lam, dw) for i in range(dim)]
-        nh = [g.pw("-0.5 * {0} * {1} * {2}", jc[c], invrho, dw) for c in range(dim)]
         nd = [g.pw("-{0} * {1} * {2}", jc[i], invrho, dw) for i in range(dim)]
         m, E, tr = self._q_fields(qT)
         comps = [
@@ -207,8 +208,12 @@ class _ModelLowering:
             if i == j:
                 comps.append(g.pw("{0} * {1}", nd[i], m[i]))
             else:
-                comps.append(self._mac([(nh[i], m[j]), (nh[j], m[i])]))
+                comps.append(self._half_mac(nd[i], m[j], nd[j], m[i]))
         return g.stack(*comps)
+
+    def _half_mac(self, a: int, x: int, b: int, y: int) -> int:
+        """``(a x + b y) / 2`` — a symmetrized strain row."""
+        return self.g.pw("0.5 * ({0} * {1} + {2} * {3})", a, x, b, y)
 
     def elastic_face_out(self, qmT: int, qpT: int, n: int, sjw: int, xf: int) -> int:
         """Lifted Godunov elastic interface flux, ``sj * wf`` folded in.
@@ -260,7 +265,6 @@ class _ModelLowering:
         shw = g.pw("{0} * {1}", shalf, sjw)
         hzsrw = g.pw("{0} * {1} * {2}", hzs, invrho, sjw)
         nnw = [g.pw("-{0}", ncw[i]) for i in range(dim)]
-        nhnw = [g.pw("-0.5 * {0}", ncw[i]) for i in range(dim)]
 
         def side(qT: int) -> Tuple[List[int], List[int], int, int]:
             m, E, tr = self._q_fields(qT)
@@ -303,7 +307,7 @@ class _ModelLowering:
             if i == j:
                 comps.append(g.pw("{0} * {1}", nnw[i], vstar[i]))
             else:
-                comps.append(self._mac([(nhnw[i], vstar[j]), (nhnw[j], vstar[i])]))
+                comps.append(self._half_mac(nnw[i], vstar[j], nnw[j], vstar[i]))
         return g.stack(*comps)
 
     def _vn(self, n: int, xf: int) -> int:
