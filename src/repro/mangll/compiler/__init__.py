@@ -168,15 +168,23 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
         B = ev.batch_bind(region, env)
         em = env["em"]
         B["k"] = FACE_K[region]
-        B["n"] = len(em)
-        rows[region] = max(rows.get(region, 0), len(em))
         # Unique rows -> the fancy -= lift is bit-identical to the
         # reference's unbuffered np.add.at; duplicated rows fall back.
         B["u"] = bool(len(np.unique(em)) == len(em))
         if region == "face_pair":
             ep = env["ep"]
             B["up"] = bool(len(np.unique(ep)) == len(ep))
-        fb.append(B)
+        # A batch larger than the region's block enters the kernel as
+        # consecutive chunks (row slices of its tables, in order).
+        rc = an.regions[region]
+        step = rc.rows if rc.rows is not None else max(len(em), 1)
+        for i0 in range(0, max(len(em), 1), step):
+            chunk = dict(B)
+            for cid in rc.row_tables:
+                chunk[f"v{cid}"] = B[f"v{cid}"][i0 : i0 + step]
+            chunk["n"] = len(em[i0 : i0 + step])
+            rows[region] = max(rows.get(region, 0), chunk["n"])
+            fb.append(chunk)
 
     for region, env in envs:
         if not (pair and env["_kind"] == CONFORMING):

@@ -109,6 +109,9 @@ class RegionCode:
     rows: Optional[int] = None
     #: workspace items the region needs per row of a block
     units: int = 0
+    #: a face region's per-batch bind values that carry the batch rows on
+    #: axis 0 — what the bind step slices to cut a batch into chunks
+    row_tables: Tuple[int, ...] = ()
     #: before the block loop: allocations that outlive the region
     pre: List[str] = field(default_factory=list)
     #: the (block) body
@@ -224,6 +227,7 @@ class _Region:
         self.buffers: List[Buffer] = []
         self.shapes: Dict[int, str] = {}  # slot buffer -> view shape source
         self.sliced: Dict[str, str] = {}  # block-view name -> full name
+        self.row_tables: Set[int] = set()  # batch bind values with the lead on axis 0
         self.pre: List[str] = []
         self.post: List[str] = []
         self.used_bind: Set[int] = set()
@@ -337,6 +341,12 @@ class _Region:
             raise _Unplannable(f"{text} has no declared shape")
         if not self._lead_at_axis0(probe):
             return _Val(text, probe)
+        if self.lead == "b" and cid in self.ctx.batch_dep:
+            # A batch is cut into chunks at bind: B already holds the slice.
+            self.row_tables.add(cid)
+            return _Val(text, probe)
+        if self.lead == "b":
+            raise _Unplannable(f"{text} carries batch rows but is not a batch value")
         if node.op == "arg":
             self.sliced[f"{text}_b"] = text
             return _Val(f"{text}_b", probe)
@@ -765,6 +775,7 @@ def _emit_region(
         return rb, rc
     offset, rc.units, peak = assign_slots(rb.buffers, rb.lines)
     rc.rows = block_rows(peak)
+    rc.row_tables = tuple(sorted(rb.row_tables))
     rc.body = [f"{name} = {full}[i0:i1]" for name, full in rb.sliced.items()]
     # One view per distinct (slot, shape): the many temporaries that
     # take turns in a slot share its name.
@@ -867,20 +878,23 @@ class Emitter:
         if any(rc.rows is not None for rc in regions.values()):
             out.append('    A = P["ws"]')
 
-        def region(rname: str, indent: str, count: str) -> None:
+        def region(rname: str, indent: str) -> None:
             rc = regions[rname]
             put(rc.pre, indent)
             if rc.rows is None:
                 put(rc.body, indent)
+            elif rname in FACE_K:
+                out.append(f'{indent}nb = B["n"]')  # one chunk: bind cut the batch
+                put(rc.body, indent)
             else:
-                out.append(f"{indent}for i0 in range(0, {count}, {rc.rows}):")
-                out.append(f"{indent}    i1 = min(i0 + {rc.rows}, {count})")
+                out.append(f"{indent}for i0 in range(0, ne, {rc.rows}):")
+                out.append(f"{indent}    i1 = min(i0 + {rc.rows}, ne)")
                 out.append(f"{indent}    nb = i1 - i0")
                 put(rc.body, indent + "    ")
             put(rc.post, indent)
 
         if "main" in regions:
-            region("main", "    ", "ne")
+            region("main", "    ")
         face = [r for r in FACE_REGIONS if r in regions]
         if face:
             out.append('    for B in P["fb"]:')
@@ -888,10 +902,10 @@ class Emitter:
             kw = "if"
             for r in face:
                 out.append(f"        {kw} k == {FACE_K[r]}:")
-                region(r, "            ", 'B["n"]')
+                region(r, "            ")
                 kw = "elif"
         if "tail" in regions:
-            region("tail", "    ", "ne")
+            region("tail", "    ")
         return "\n".join(out) + "\n"
 
 

@@ -4,7 +4,7 @@ The compiled kernels cut their element loop (and every face batch
 larger than a block) into blocks whose temporaries live in one
 per-binding workspace.  These tests walk the edges that adds: a mesh
 smaller than a block, an exact multiple, a ragged last block, a rank
-with no elements at all, batches split over several chunks — and the
+with no elements at all, batches cut into several chunks — and the
 two promises the workspace must not break: ``rhs`` still returns a
 fresh array nobody else holds, and two bindings never share scratch.
 """
@@ -18,6 +18,7 @@ from repro.apps.dgea.elastic import ElasticModel
 from repro.mangll import compiler as kc
 from repro.mangll.compiler import emit
 from repro.mangll.compiler.cache import reset_default_cache
+from repro.mangll.compiler.lower import FACE_K
 from repro.mangll.geometry import BrickGeometry, ShellGeometry
 from repro.mangll.mesh import build_mesh
 from repro.mangll.op import DGOperator, MeshContext
@@ -114,8 +115,10 @@ def test_elastic_matches_reference_at_every_block_edge(block_rows, rows):
     assert ctx.mesh.nelem_local == 38
     block_rows(rows)
     op = DGOperator(ElasticModel(3, graded_material), DEGREE).bind(ctx)
-    sizes = [B["n"] for B in op._P["fb"]]
-    assert rows >= 38 or max(sizes) > rows  # some batch is split into chunks
+    # The 64 paired faces arrive in batches of up to 22: a batch larger
+    # than a block enters the kernel as consecutive chunks.
+    pairs = [B["n"] for B in op._P["fb"] if B["k"] == FACE_K["face_pair"]]
+    assert sum(pairs) == 64 and max(pairs) == min(rows, 22)
     err, scale = mismatch(ctx, random_q(ctx))
     assert err <= TOL * scale
 
