@@ -5,10 +5,14 @@ Two halves of one contract:
 * :func:`analyze` linearizes a planned graph region by region into the
   *run-stage* lines of a specialized kernel, and :class:`Emitter` prints
   them as a function.  Bind-stage nodes are referenced as ``P["vN"]``
-  (global) or ``B["vN"]`` (per mortar batch).  Face regions emit as one
-  ``for B in P["fb"]:`` loop with a ``B["k"]`` dispatch, preserving the
-  reference's batch iteration order — the lifts of one element's faces
-  share edge/corner nodes, so accumulation order is part of bit-identity.
+  (global) or ``B["vN"]`` (per face batch).  Face regions emit as one
+  ``for B in P["fb"]:`` loop with a ``B["k"]`` dispatch.  The lifts of
+  one element's faces share edge/corner nodes, so accumulation order is
+  part of bit-identity: a region either scatters per batch, in batch
+  order, or *deposits* its rows into the lift buffer ``P["lb"]`` at
+  their reference positions, and the tail applies the whole buffer with
+  one ordered ``np.subtract.at`` (``lift``) — then the batches may come
+  in any order and merge freely.
 
 * :class:`BindEvaluator` interprets the *bind-stage* subgraph once at
   operator bind time, producing exactly the ``P``/``B`` entries the
@@ -25,13 +29,13 @@ itself would evaluate, so every float is the same) and each call, with
 ``out=`` form into a slot of the binding's workspace ``P["ws"]``
 (:func:`repro.mangll.compiler.passes.assign_slots`).  What NumPy cannot
 do into a given array — ``einsum`` (its accumulation order follows its
-operands' strides, ``out=`` included), ``np.where``, fancy two-step
-gathers — is left allocating its block-sized result.  **Plain**: one
-expression per node over the whole lead, single-use nodes fused into
-their consumer — the form every region had before planning, kept for
-regions whose shapes the probe cannot follow or that call back into the
-model at run time (an extern must see the *same* bind-table objects on
-every call: material memoization is by array identity).
+operands' strides, ``out=`` included), ``np.where`` — is left allocating
+its block-sized result.  **Plain**: one expression per node over the
+whole lead, single-use nodes fused into their consumer — the form every
+region had before planning, kept for regions whose shapes the probe
+cannot follow or that call back into the model at run time (an extern
+must see the *same* bind-table objects on every call: material
+memoization is by array identity).
 
 Shapes come from probing, not from a shape algebra: every value is
 computed twice on stand-in operands built from the leaves' declared
@@ -68,10 +72,8 @@ from .ir import (
 )
 from .passes import Buffer, Line, Plan, assign_slots, block_rows, plan as run_passes
 
-#: Face regions in emission (and reference batch-dispatch) order.
-FACE_REGIONS = ("face_cf", "face_b", "face_coarse", "face_pair")
-
-#: Region -> the ``B["k"]`` dispatch tag (mirrors lower.FACE_K).
+#: Face region -> the ``B["k"]`` dispatch tag each batch dict carries;
+#: regions emit in this order.
 FACE_K = {"face_cf": 0, "face_b": 1, "face_coarse": 2, "face_pair": 3}
 
 _ATOM_RE = re.compile(
@@ -397,11 +399,6 @@ class _Region:
             text = str(node.attr("expr")).format(*[_atom(s) for s in texts])
         elif node.op == "einsum":
             text = f'np.einsum("{node.attr("subs")}", {", ".join(texts)})'
-        elif node.op == "gather":
-            # The reference's two-step gather, kept verbatim so the
-            # strides (hence downstream einsum order) match bit for bit.
-            src, rows, cols = (_atom(s) for s in texts)
-            text = f"{src}[{rows}][:, {cols}]"
         elif node.op == "stack":
             text = f"np.stack([{', '.join(texts)}], axis=0)"
         elif node.op == "extern":
@@ -537,9 +534,9 @@ class _Region:
             owner, name = t.func.value, t.func.attr
             if not (isinstance(owner, ast.Name) and owner.id == "np"):
                 base = self._walk(owner, ins, None)
-                if name == "reshape" and not t.keywords:
-                    shape = ", ".join(ast.unparse(a) for a in t.args)
-                    return self._view(base, f".reshape({shape})", dest)
+                if name in ("reshape", "transpose") and not t.keywords:
+                    axes = ", ".join(ast.unparse(a) for a in t.args)
+                    return self._view(base, f".{name}({axes})", dest)
                 if name == "copy" and not t.args and not t.keywords:
                     return self._copy(base, dest)
                 raise _Unsupported
@@ -582,9 +579,25 @@ class _Region:
                 # After the block loop, and the whole array, not its last block.
                 self.post.append(f"return {self.sliced.get(text, text)}")
             return
-        assert s.target is not None and s.value is not None
+        if s.kind == "deposit":
+            assert s.rows is not None and s.value is not None
+            self.ensure(s.value)
+            val = self.val(s.value)
+            self._line(f'P["{self.ctx.pprefix}lb"][{self.val(s.rows).text}] = {val.text}',
+                       None, val.roots)
+            return
+        assert s.target is not None
         self.ensure(s.target)
         tgt = self.val(s.target)
+        if s.kind == "lift":
+            pp = self.ctx.pprefix
+            self._line(
+                f'np.subtract.at({_atom(tgt.text)}.reshape(-1), P["{pp}lt"], '
+                f'P["{pp}lb"].reshape(-1))',
+                self._written(tgt), tgt.roots,
+            )
+            return
+        assert s.value is not None
         planned = self.lead is not None
         if s.kind == "setitem" and planned:
             self._store(s, tgt)
@@ -627,37 +640,30 @@ class _Region:
         self._line(f"{tgt.text}[{s.idx}] = {val.text}", self._written(tgt), tgt.roots | val.roots)
 
     def _scatter(self, s: Stmt, tgt: _Val, val: _Val) -> None:
-        # Fancy -= when this batch's row indices are unique (bit-identical
-        # to the unbuffered np.subtract.at, which itself matches the
-        # reference np.add.at of -contrib).
+        # Fancy -= when this batch's row indices are unique (the same
+        # floats as the unbuffered np.subtract.at).
         assert s.rows is not None
         sym = s.sym or "-"
         ufunc = _IOP_UFUNC[sym]
         self.ensure(s.rows)
-        rows = self.val(s.rows)
+        ix = self.val(s.rows).text
         reads = tgt.roots | val.roots
         writes = None
-        if s.cols is None:
-            ix = rows.text
-            scratch = None
-            if self.lead is not None and val.probe is not None:
-                try:
-                    scratch = self._new_buffer(val.probe, slot=True)
-                except _Unsupported:
-                    scratch = None
-            if scratch is not None:
-                w = f"w{scratch}"
-                unique = (
-                    f'np.take({tgt.text}, {ix}, axis=0, mode="clip", out={w})\n'
-                    f"np.{ufunc}({w}, {val.text}, out={w})\n"
-                    f"{tgt.text}[{ix}] = {w}"
-                )
-                writes = scratch
-            else:
-                unique = f"{tgt.text}[{ix}] {sym}= {val.text}"
+        scratch = None
+        if self.lead is not None and val.probe is not None:
+            try:
+                scratch = self._new_buffer(val.probe, slot=True)
+            except _Unsupported:
+                scratch = None
+        if scratch is not None:
+            w = f"w{scratch}"
+            unique = (
+                f'np.take({tgt.text}, {ix}, axis=0, mode="clip", out={w})\n'
+                f"np.{ufunc}({w}, {val.text}, out={w})\n"
+                f"{tgt.text}[{ix}] = {w}"
+            )
+            writes = scratch
         else:
-            self.ensure(s.cols)
-            ix = f"({_atom(rows.text)}[:, None], {_atom(self.val(s.cols).text)}[None, :])"
             unique = f"{tgt.text}[{ix}] {sym}= {val.text}"
         unique = unique.replace("\n", "\n    ")
         self._line(
@@ -718,7 +724,7 @@ class _Context:
         """Canonical run-stage non-leaf nodes the statements depend on."""
         seen: Set[int] = set()
         stack = [
-            self.plan.canon(x) for s in stmts for x in (s.target, s.value, s.rows, s.cols)
+            self.plan.canon(x) for s in stmts for x in (s.target, s.value, s.rows)
             if x is not None
         ]
         while stack:
@@ -821,7 +827,7 @@ def analyze(graph: Graph, pprefix: str = "") -> Analysis:
     # CPython's AST constructor is not safe under concurrent parses, and
     # thread-backend ranks bind — hence analyze — concurrently.
     with _AST_LOCK:
-        for region in [r for r in ("main", *FACE_REGIONS, "tail") if r in by_region]:
+        for region in [r for r in ("main", *FACE_K, "tail") if r in by_region]:
             lead = {"main": "e", "tail": None}.get(region, "b")
             rb = None
             if lead is not None:
@@ -895,7 +901,7 @@ class Emitter:
 
         if "main" in regions:
             region("main", "    ")
-        face = [r for r in FACE_REGIONS if r in regions]
+        face = [r for r in FACE_K if r in regions]
         if face:
             out.append('    for B in P["fb"]:')
             out.append('        k = B["k"]')

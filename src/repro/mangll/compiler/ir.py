@@ -9,9 +9,8 @@ p-transfer contractions — into a graph of *typed tensor ops*:
     subscripts are baked per ``(dim, degree)``).
 ``pw``
     A pointwise expression template over its inputs (adds, products,
-    slices, reshapes, masks, ``np.where`` — anything elementwise).
-``gather``
-    A batched face-trace gather ``src[rows][:, cols]``.
+    slices, reshapes, masks, ``np.where`` — anything elementwise — and
+    the flat-index ``np.take`` face-trace gathers).
 ``stack``
     Equal-shaped inputs stacked along a new leading axis
     (``np.stack(..., axis=0)``) — the field-major plane block of the
@@ -32,7 +31,7 @@ p-transfer contractions — into a graph of *typed tensor ops*:
     them is emitted unblocked and unplanned, as before.
 
 Side effects are explicit: a :class:`Stmt` list orders accumulations,
-slice stores and scatters (``np.add.at``-style lifts).  Pure nodes
+slice stores, scatters and the staged face lifts.  Pure nodes
 never reorder across the statement that first needs them, which is the
 contract that keeps the emitted kernel *bit-identical* to the
 interpreted reference: the passes (:mod:`repro.mangll.compiler.passes`)
@@ -54,9 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 #: Ops with no side effects; everything else must flow through a Stmt.
-PURE_OPS = frozenset(
-    {"arg", "table", "barg", "const", "pw", "einsum", "gather", "stack", "extern"}
-)
+PURE_OPS = frozenset({"arg", "table", "barg", "const", "pw", "einsum", "stack", "extern"})
 
 #: Leaf ops: emitted as a name / lookup, never as an assignment.
 LEAF_OPS = frozenset({"arg", "table", "barg", "const"})
@@ -97,9 +94,10 @@ class Stmt:
     ``kind`` is ``"iop"`` (``target op= value`` with ``op`` in the
     ``sym`` attr), ``"setitem"`` / ``"isetop"`` (``target[idx] = value``
     or ``target[idx] op= value`` with the index expression in ``idx``),
-    ``"scatter"`` (the face lift: subtract ``value`` at
-    ``(rows[:, None], cols[None, :])`` of ``target`` — or, with no
-    ``cols``, at the rows ``rows`` of a 2-D ``target``), or ``"ret"``.
+    ``"scatter"`` (a per-batch face lift: subtract ``value`` at the rows
+    ``rows`` of a 2-D ``target``), ``"deposit"`` (stage ``value`` at the
+    rows ``rows`` of the kernel's lift buffer), ``"lift"`` (apply every
+    staged row to ``target``, in lift-buffer order), or ``"ret"``.
     """
 
     kind: str
@@ -109,9 +107,8 @@ class Stmt:
     sym: str = ""
     idx: str = ""
     rows: Optional[int] = None
-    cols: Optional[int] = None
-    #: scatter index-key suffix: ``B["ix" + tag]`` / ``B["u" + tag]``;
-    #: lets one region carry several scatters with distinct targets.
+    #: scatter uniqueness-key suffix (``B["u" + tag]``); lets one region
+    #: carry several scatters with distinct index sets.
     tag: str = ""
 
 
@@ -167,16 +164,6 @@ class Graph:
         """A contraction; ``commutative`` lets CSE canonicalize operands."""
         return self.add("einsum", tuple(inputs), subs=subs, commutative=commutative)
 
-    def gather(self, src: int, rows: int, cols: int) -> int:
-        """The face-trace gather ``src[rows][:, cols]``.
-
-        Two steps on purpose: the single fancy index
-        ``src[rows[:, None], cols[None, :]]`` has the same values but
-        other output strides, and ``np.einsum``'s accumulation order is
-        stride-dependent — the bit-exact kinds keep the reference's form.
-        """
-        return self.add("gather", (src, rows, cols))
-
     def stack(self, *inputs: int) -> int:
         """Equal-shaped inputs as the planes of one ``(len, ...)`` block."""
         return self.add("stack", tuple(inputs))
@@ -209,29 +196,38 @@ class Graph:
         )
 
     def scatter(
-        self,
-        target: int,
-        rows: int,
-        cols: Optional[int],
-        value: int,
-        sym: str = "-",
-        tag: str = "",
+        self, target: int, rows: int, value: int, sym: str = "-", tag: str = ""
     ) -> None:
-        """Accumulate ``value`` into ``target`` at the batch's face nodes.
+        """Accumulate ``value`` into the rows ``rows`` of a 2-D ``target``.
 
         Emitted as a fancy ``-=`` (or ``+=`` with ``sym="+"``) when the
-        batch's rows are unique (checked at bind time) and as
-        ``np.subtract.at`` / ``np.add.at`` otherwise; the subtract forms
-        are bit-identical to the reference ``np.add.at(..., -value)``
-        (IEEE-754 ``a - b == a + (-b)``).  ``tag`` suffixes the batch's
-        uniqueness key (``B["u" + tag]``) so one region may scatter to
-        two index sets.  ``cols=None`` is the flat form: ``rows`` indexes
-        the first axis of a 2-D ``target`` directly, which a planned
-        region runs as take / subtract / store through a workspace slot.
+        batch's rows are unique (checked at bind time; a planned region
+        runs it as take / subtract / store through a workspace slot) and
+        as ``np.subtract.at`` / ``np.add.at`` otherwise.  ``tag``
+        suffixes the batch's uniqueness key (``B["u" + tag]``) so one
+        region may scatter to two index sets.
         """
         self.stmts.append(
-            Stmt("scatter", self._region, target, value, sym=sym, rows=rows, cols=cols, tag=tag)
+            Stmt("scatter", self._region, target, value, sym=sym, rows=rows, tag=tag)
         )
+
+    def deposit(self, rows: int, value: int) -> None:
+        """Stage a face lift: ``value``'s rows go to rows ``rows`` of the
+        kernel's lift buffer (``P["lb"]``, one row per face row of the
+        mesh, in the reference's batch order) — a plain store, no sum."""
+        self.stmts.append(Stmt("deposit", self._region, value=value, rows=rows))
+
+    def lift(self, target: int) -> None:
+        """Subtract every staged row from ``target`` at once.
+
+        One ``np.subtract.at`` over the flat ``target`` at the bind-time
+        lift targets (``P["lt"]``), in lift-buffer order: each entry of
+        ``target`` receives its face contributions in the order the
+        reference's per-batch ``np.add.at(..., -value)`` adds them (and
+        ``a - b == a + (-b)`` in IEEE-754), so the sums are the same bits.
+        ``target`` must be C-contiguous: its flat view is written.
+        """
+        self.stmts.append(Stmt("lift", self._region, target))
 
     def ret(self, value: int) -> None:
         """Mark the kernel's return value."""
@@ -247,7 +243,7 @@ class Graph:
         """Ids of nodes that are targets of any mutating statement."""
         out = set()
         for s in self.stmts:
-            if s.kind in ("iop", "setitem", "isetop", "scatter") and s.target is not None:
+            if s.kind in ("iop", "setitem", "isetop", "scatter", "lift") and s.target is not None:
                 out.add(s.target)
         return frozenset(out)
 
@@ -287,8 +283,6 @@ def eval_op(node: Node, ins: Sequence[Any], model: Any = None) -> Any:
         return eval_template(str(node.attr("expr")), ins)
     if node.op == "einsum":
         return np.einsum(node.attr("subs"), *ins)
-    if node.op == "gather":
-        return ins[0][ins[1]][:, ins[2]]
     if node.op == "stack":
         return np.stack(list(ins), axis=0)
     if node.op == "extern":

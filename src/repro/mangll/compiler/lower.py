@@ -40,7 +40,13 @@ Flux models are lowered per *kind*:
 ``generic``
     Anything else — volume/numerical/boundary fluxes stay extern calls
     on the model object; hoisting still removes the geometry factors,
-    traces and scatters around them.
+    and the traces and lifts around them are the other bit-exact kinds'.
+
+The advection, acoustic and generic kinds keep every float of the
+reference, so their face regions run on *merged* batches (one per
+region and transfer matrix) that gather through flat node-major index
+tables and deposit their lifts for one ordered ``np.subtract.at`` in the
+tail; the elastic kind scatters per batch.
 
 The bind *providers* at the bottom give the evaluator its environment:
 global tables come from the (internal, reference) ``DGSolver`` so they
@@ -51,7 +57,7 @@ and plus-side geometry of COARSE mortars.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,8 +82,6 @@ def _voigt_index(dim: int) -> Dict[Tuple[int, int], int]:
         out[(i, j)] = out[(j, i)] = k
     return out
 
-#: Face region -> dispatch tag baked into each batch dict as ``B["k"]``.
-FACE_K = {"face_cf": 0, "face_b": 1, "face_coarse": 2, "face_pair": 3}
 
 #: Mortar kind -> face region.
 KIND_REGION = {
@@ -450,7 +454,8 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
         r = g.pw("np.empty_like({0})", q)
         g.setitem(r, ":", g.pw("np.moveaxis({0}, 0, -1)", rT))
     else:
-        r = g.pw("np.zeros_like({0})", q)
+        # C-ordered whatever q's layout: the tail's lift writes r's flat view.
+        r = g.pw("np.zeros({0}.shape)", q)
         F = ml.volume_flux(q, x)
         detw = g.pw("({0} * {1}[None, :])[..., None]", detj, wts)
         for a in range(dim):
@@ -460,15 +465,15 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
             out = g.einsum(_DT_SUBS[(dim, a)], D, gre)
             g.iop("+", r, g.pw(f"{{0}}.reshape(-1, {npts}, {nf})", out))
 
+    indices = {"fidx": (nfp,), "pidx": (nfp,), "em": ("b",), "ep": ("b",),
+               "gm": ("b", nfp), "gp": ("b", nfp), "pos": ("b",)}
+
     def batch_leaves(*names: str) -> List[int]:
         shapes = {
-            "fidx": (nfp,), "pidx": (nfp,), "em": ("b",), "ep": ("b",),
             "n": ("b", nfp, dim), "sj": ("b", nfp), "xf": ("b", nfp, dim),
-            "tr": (nfp, nfp),
+            "tr": (nfp, nfp), **indices,
         }
-        return [
-            g.barg(nm, shapes[nm], index=nm in ("fidx", "pidx", "em", "ep")) for nm in names
-        ]
+        return [g.barg(nm, shapes[nm], index=nm in indices) for nm in names]
 
     if kind == "elastic":
         # Faces on planes too: one flat-index take per trace (rows of nf
@@ -502,7 +507,7 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
         rows_m = flat(em, fidx)
         qmT = ml.planes(trace(rows_m))
         qpT = mortar(ml.planes(trace(flat(ep, pidx))), trT)
-        g.scatter(r2, rows_m, None, rows_of(lifted(qmT, qpT, n, sj, xf)))
+        g.scatter(r2, rows_m, rows_of(lifted(qmT, qpT, n, sj, xf)))
 
         g.region("face_b")
         fidx, em, n, sj, xf = batch_leaves("fidx", "em", "n", "sj", "xf")
@@ -510,7 +515,7 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
         qm = trace(rows_m)
         qp = ml.boundary_state(qm, n, xf, t)
         out = lifted(ml.planes(qm), ml.planes(qp), n, sj, xf)
-        g.scatter(r2, rows_m, None, rows_of(out))
+        g.scatter(r2, rows_m, rows_of(out))
 
         g.region("face_coarse")
         fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
@@ -520,7 +525,7 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
         rows_m = flat(em, fidx)
         qmT = mortar(ml.planes(trace(rows_m)), trT)
         qpT = ml.planes(trace(flat(ep, pidx)))
-        g.scatter(r2, rows_m, None, rows_of(mortar(lifted(qmT, qpT, n, sj, xf), tr)))
+        g.scatter(r2, rows_m, rows_of(mortar(lifted(qmT, qpT, n, sj, xf), tr)))
 
         # Paired conforming faces: each geometric interior face whose
         # two sides are both local is visited ONCE (the reference and
@@ -537,46 +542,54 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
         rows_m = flat(em, fidx)
         rows_p = flat(ep, pidx)
         out = rows_of(lifted(ml.planes(trace(rows_m)), ml.planes(trace(rows_p)), n, sj, xf))
-        g.scatter(r2, rows_m, None, out)
-        g.scatter(r2, rows_p, None, out, sym="+", tag="p")
+        g.scatter(r2, rows_m, out)
+        g.scatter(r2, rows_p, out, sym="+", tag="p")
     else:
+        # A face batch here is every mortar of one region that shares one
+        # transfer matrix (prepare_dg_rhs merges them), so ``gm``/``gp``
+        # name each row's face nodes as flat node indices
+        # ``elem * npts + node``.  The take runs over the node-major table
+        # (``gm.T``) into a (nodes, rows, fields) block that is viewed
+        # back as (rows, nodes, fields): exactly the strides of the
+        # reference's two-step gather ``q_all[em][:, fidx]``, so every
+        # mortar c_einsum sums in the reference's order (a row-major take
+        # moves sums by an ulp).
+        def trace(idx: int) -> int:
+            take = f"np.take({{0}}.reshape(-1, {nf}), {{1}}.T, axis=0, mode='clip')"
+            return g.pw(f"{take}.transpose(1, 0, 2)", qa, idx)
 
         def flux_and_lift(qm: int, qp: int, n: int, sj: int, xf: int) -> int:
             flux = ml.numerical_flux(qm, qp, n, xf)
             sjwf = g.pw("({0} * {1}[None, :])[..., None]", sj, wf)
             return g.pw("{0} * {1}", flux, sjwf)
 
-        # Conforming / fine mortars: evaluate at my face nodes.  The
-        # two-step gather and the c_einsum mortar product are the
-        # reference's own (BLAS sums in another order).
+        # Every region deposits its lifted rows at their reference
+        # positions; the tail lifts them all in the reference's order.
+        # Conforming / fine mortars: evaluate at my face nodes.
         g.region("face_cf")
-        fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
-            "fidx", "pidx", "em", "ep", "n", "sj", "xf", "tr"
-        )
-        qm = g.gather(qa, em, fidx)
-        qp = g.einsum("qs,esf->eqf", tr, g.gather(qa, ep, pidx))
-        g.scatter(r, em, fidx, flux_and_lift(qm, qp, n, sj, xf))
+        gm, gp, pos, n, sj, xf, tr = batch_leaves("gm", "gp", "pos", "n", "sj", "xf", "tr")
+        qp = g.einsum("qs,esf->eqf", tr, trace(gp))
+        g.deposit(pos, flux_and_lift(trace(gm), qp, n, sj, xf))
 
         # Boundary faces: exterior trace from the model's boundary condition.
         g.region("face_b")
-        fidx, em, n, sj, xf = batch_leaves("fidx", "em", "n", "sj", "xf")
-        qm = g.gather(qa, em, fidx)
+        gm, pos, n, sj, xf = batch_leaves("gm", "pos", "n", "sj", "xf")
+        qm = trace(gm)
         qp = ml.boundary_state(qm, n, xf, t)
-        g.scatter(r, em, fidx, flux_and_lift(qm, qp, n, sj, xf))
+        g.deposit(pos, flux_and_lift(qm, qp, n, sj, xf))
 
         # Coarse mortars: evaluate at the fine partner's nodes, lift
         # through the transposed interpolation.
         g.region("face_coarse")
-        fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
-            "fidx", "pidx", "em", "ep", "n", "sj", "xf", "tr"
-        )
-        qm = g.einsum("qs,esf->eqf", tr, g.gather(qa, em, fidx))
-        qp = g.gather(qa, ep, pidx)
-        contrib = flux_and_lift(qm, qp, n, sj, xf)
-        g.scatter(r, em, fidx, g.einsum("qi,eqf->eif", tr, contrib))
+        gm, gp, pos, n, sj, xf, tr = batch_leaves("gm", "gp", "pos", "n", "sj", "xf", "tr")
+        qm = g.einsum("qs,esf->eqf", tr, trace(gm))
+        contrib = flux_and_lift(qm, trace(gp), n, sj, xf)
+        g.deposit(pos, g.einsum("qi,eqf->eif", tr, contrib))
 
-    # Tail: inverse diagonal mass.
+    # Tail: the staged face lifts, then the inverse diagonal mass.
     g.region("tail")
+    if kind != "elastic":
+        g.lift(r)
     g.iop("*", r, g.pw("{0}[..., None]", lift))
     g.ret(r)
     return g
@@ -757,8 +770,8 @@ def dg_tables(solver, model, kind: str) -> Dict[str, object]:
     return env
 
 
-def dg_batch_envs(solver) -> List[Tuple[str, Dict[str, object]]]:
-    """Per-mortar-batch bind environments, in ``space.batches`` order.
+def dg_batch_envs(solver) -> Iterator[Tuple[str, Dict[str, object]]]:
+    """Per-mortar-batch bind environments, yielded in ``space.batches`` order.
 
     Mirrors ``DGSolver._faces`` exactly: minus-side geometry for
     conforming/fine/boundary mortars, negated plus-side geometry for
@@ -768,7 +781,6 @@ def dg_batch_envs(solver) -> List[Tuple[str, Dict[str, object]]]:
     sp = solver.space
     m = sp.mesh
     dim, nq = sp.dim, sp.nq
-    out: List[Tuple[str, Dict[str, object]]] = []
     for batch in sp.batches:
         f = batch.fminus
         fidx = face_node_indices(dim, nq, f)
@@ -796,8 +808,69 @@ def dg_batch_envs(solver) -> List[Tuple[str, Dict[str, object]]]:
             env["sj"] = solver._sjac[fp][batch.eplus]
             env["xf"] = m.coords[batch.eplus][:, pidx]
             env["tr"] = batch.transfer
-        out.append((region, env))
-    return out
+        yield region, env
+
+
+def merged_batch_envs(
+    solver, nfields: int
+) -> Tuple[List[Tuple[str, Dict[str, object]]], np.ndarray]:
+    """Face-batch environments of the bit-exact kinds, and the lift targets.
+
+    The mortar batches of one region whose transfer matrices are
+    byte-equal become one batch, and so do all boundary batches: the
+    flux is pointwise in the rows, and the mortar product sees the same
+    matrix and — through the node-major gather — the same strides.  A
+    one-row mortar batch stays alone: with a single row (of a single
+    field) the row axis drops out of the mortar ``c_einsum``, which then
+    runs its contiguous reduction kernel (other partial sums).  Rows
+    keep batch order and carry flat face-node indices ``elem * npts +
+    node`` (``gm`` my side, ``gp`` the partner's; stored node-major, as
+    a transposed view of a C-ordered ``(nodes, rows)`` table) and their
+    position ``pos`` among all face rows in ``space.batches`` order.
+    The lift targets are the flat entries of ``r`` those rows lift
+    into, in that order: the reference's accumulation order, which the
+    tail's one ``np.subtract.at`` walks.
+
+    Each batch's environment is copied into its group's arrays as it is
+    made, so a bind holds one batch's tables at a time, not two copies.
+    """
+    sp = solver.space
+    npts, nfp = sp.mesh.npts, sp.nfp
+    keys = []
+    sizes: Dict[Tuple[str, bytes, int], int] = {}
+    for b, batch in enumerate(sp.batches):
+        tr, rows = batch.transfer, len(batch.eminus)
+        key = (KIND_REGION[batch.kind], b"", -1)
+        if tr is not None:
+            key = (key[0], tr.tobytes(), b if rows == 1 else -1)
+        keys.append(key)
+        sizes[key] = sizes.get(key, 0) + rows
+    groups: Dict[Tuple[str, bytes, int], Dict[str, np.ndarray]] = {key: {} for key in sizes}
+    filled = dict.fromkeys(sizes, 0)
+    targets = np.empty((sum(sizes.values()), nfp, nfields), dtype=np.intp)
+    start = 0
+    for key, (_, env) in zip(keys, dg_batch_envs(solver)):
+        part = {name: env[name] for name in ("n", "sj", "xf")}
+        part["gm"] = env["em"][:, None] * npts + env["fidx"][None, :]
+        if "ep" in env:
+            part["gp"] = env["ep"][:, None] * npts + env["pidx"][None, :]
+        rows = len(env["em"])
+        part["pos"] = np.arange(start, start + rows)
+        targets[start : start + rows] = part["gm"][..., None] * nfields + np.arange(nfields)
+        start += rows
+        grp, at = groups[key], filled[key]
+        filled[key] += rows
+        for name, val in part.items():
+            if name not in grp:
+                shape = (sizes[key],) + val.shape[1:]
+                if name in ("gm", "gp"):
+                    grp[name] = np.empty(shape[::-1], val.dtype).T  # node-major
+                else:
+                    grp[name] = np.empty(shape, val.dtype)
+            grp[name][at : at + rows] = val
+        if "tr" in env:
+            grp["tr"] = env["tr"]
+    return [(key[0], grp) for key, grp in groups.items()], targets.reshape(-1)
 
 
 def permutation_rows(tr: np.ndarray) -> Optional[np.ndarray]:

@@ -168,7 +168,7 @@ def count_uses(g: Graph, remap: Dict[int, int]) -> Dict[int, int]:
         for i in node.inputs:
             bump(i)
     for s in g.stmts:
-        for nid in (s.target, s.value, s.rows, s.cols):
+        for nid in (s.target, s.value, s.rows):
             if nid is not None:
                 bump(nid)
     return uses

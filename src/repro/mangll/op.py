@@ -155,7 +155,9 @@ class BoundDGOperator:
     always run interpreted.
 
     A compiled binding owns one workspace (``P["ws"]``, allocated here,
-    at bind) that every block of every ``rhs`` call computes in: the
+    at bind) that every block of every ``rhs`` call computes in, and —
+    for the bit-exact kinds — one lift buffer (``P["lb"]``) its face
+    batches stage their lifts in: the
     array ``rhs`` returns is fresh each time, but two ``rhs`` calls on
     *one* binding must not overlap.  Bind the spec again for a second
     concurrent user — bindings share nothing.

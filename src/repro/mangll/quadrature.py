@@ -99,7 +99,10 @@ def lagrange_interpolation_matrix(src: np.ndarray, dst: np.ndarray) -> np.ndarra
     """Matrix mapping nodal values at ``src`` to values at ``dst``.
 
     Entry (i, j) is the j-th Lagrange basis (over src) at dst[i].
-    Computed with barycentric weights for stability.
+    Computed with barycentric weights for stability, all rows at once:
+    row i is ``bw / d`` over its own sum (a row-wise reduction sums each
+    row as a 1-D sum would), and a row whose point hits a source node
+    (``|d| < 1e-14``) is the unit vector of the first node it hits.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -109,15 +112,14 @@ def lagrange_interpolation_matrix(src: np.ndarray, dst: np.ndarray) -> np.ndarra
     for j in range(n):
         diff = src[j] - np.delete(src, j)
         bw[j] = 1.0 / np.prod(diff)
-    out = np.zeros((len(dst), n))
-    for i, xd in enumerate(dst):
-        d = xd - src
-        hit = np.abs(d) < 1e-14
-        if hit.any():
-            out[i, np.argmax(hit)] = 1.0
-            continue
+    d = dst[:, None] - src[None, :]
+    hit = np.abs(d) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
         terms = bw / d
-        out[i] = terms / terms.sum()
+        out = terms / terms.sum(axis=1, keepdims=True)
+    rows = np.flatnonzero(hit.any(axis=1))
+    out[rows] = 0.0
+    out[rows, np.argmax(hit[rows], axis=1)] = 1.0
     return out
 
 

@@ -150,7 +150,7 @@ def test_dg_elastic_model_tolerance_and_material_hoisted(dim):
     compiled = DGOperator(model, 3).bind(ctx)
     interp = DGOperator(model, 3, compile=False).bind(ctx)
     # The fast lowering pairs every local-local conforming mortar.
-    from repro.mangll.compiler.lower import FACE_K
+    from repro.mangll.compiler.emit import FACE_K
 
     kinds = [B["k"] for B in compiled._P["fb"]]
     assert FACE_K["face_pair"] in kinds

@@ -18,7 +18,7 @@ from repro.apps.dgea.elastic import ElasticModel
 from repro.mangll import compiler as kc
 from repro.mangll.compiler import emit
 from repro.mangll.compiler.cache import reset_default_cache
-from repro.mangll.compiler.lower import FACE_K
+from repro.mangll.compiler.emit import FACE_K
 from repro.mangll.geometry import BrickGeometry, ShellGeometry
 from repro.mangll.mesh import build_mesh
 from repro.mangll.op import DGOperator, MeshContext

@@ -82,6 +82,42 @@ def test_interpolation_matrix_exactness_and_delta():
     np.testing.assert_allclose(I, np.eye(6), atol=1e-13)
 
 
+def _interpolation_rows(src, dst):
+    """The per-destination-point loop the matrix is pinned against."""
+    n = len(src)
+    bw = np.array([1.0 / np.prod(src[j] - np.delete(src, j)) for j in range(n)])
+    out = np.zeros((len(dst), n))
+    for i, xd in enumerate(dst):
+        d = xd - src
+        hit = np.abs(d) < 1e-14
+        if hit.any():
+            out[i, np.argmax(hit)] = 1.0
+            continue
+        terms = bw / d
+        out[i] = terms / terms.sum()
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interpolation_matrix_equals_the_per_row_loop_bytewise(seed):
+    """All rows at once, the same bytes as one row at a time: off-node
+    points, exact node hits, near hits inside the tolerance, and the
+    half-cell points of hanging faces."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        src, _w = gauss_lobatto(int(rng.integers(2, 10)))
+        m = int(rng.choice([0, 1, 3, 16, 200]))
+        dst = rng.uniform(-1.5, 1.5, m)
+        for kind in range(3):
+            k = rng.integers(0, m, m // 3) if m else np.zeros(0, int)
+            node = src[rng.integers(0, len(src), len(k))]
+            dst[k] = (node, 0.5 * node + rng.choice([-0.5, 0.5], len(k)),
+                      node + rng.uniform(-2e-14, 2e-14, len(k)))[kind]
+        got = lagrange_interpolation_matrix(src, dst)
+        want = _interpolation_rows(src, dst)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 4, 7])
 def test_child_interpolation(n):
     x, _ = gauss_lobatto(n)
