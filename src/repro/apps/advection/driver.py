@@ -150,6 +150,9 @@ class AdvectionRun:
         )
         self.model = AdvectionModel(3, self.fronts.velocity())
         ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm)
+        # The outgoing binding's tables (a few per face node of the old
+        # mesh) are dead by now; let them go before the new ones are built.
+        self.solver = self.space = None
         self.solver = DGOperator(self.model, self.cfg.degree).bind(ctx)
         self.space = self.solver.space
         # The RK register lives as long as the mesh it is shaped for.
