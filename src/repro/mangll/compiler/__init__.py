@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..dgops import CONFORMING
 from .cache import IR_VERSION, KernelCache, default_cache
 from .emit import (
     FACE_K,
@@ -45,15 +44,14 @@ from .lower import (
     DG_KINDS,
     cg_cache_key,
     cg_tables,
-    dg_batch_envs,
     dg_cache_key,
     dg_tables,
+    elastic_batch_envs,
     lower_cg_elem_laplacian,
     lower_cg_elem_mass,
     lower_dg_rhs,
     merged_batch_envs,
     model_kind,
-    permutation_rows,
     transfer_cache_key,
     transfer_source,
 )
@@ -131,26 +129,17 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
     operator keeps — its precomputed tables feed the evaluator, so the
     compiled kernel starts from byte-identical inputs.
 
-    For the bit-exact kinds the face batches are *merged*: every mortar
-    batch of one region whose transfer matrix is byte-equal joins one
-    batch, and all boundary batches join one
-    (:func:`~repro.mangll.compiler.lower.merged_batch_envs`) — about 30
-    batches where ``space.batches`` has 128 on a 24-tree shell.  Their
-    lifted rows land in the lift buffer ``P["lb"]`` (one row per face
-    row, in ``space.batches`` order) and the tail applies it with one
-    ``np.subtract.at`` at the flat targets ``P["lt"]``: the reference's
-    accumulation order, whatever order the batches run in.
-
-    For the elastic kind, conforming mortar batches are instead
-    *paired*: every geometric interior face with both sides local is
-    handed to the kernel's ``face_pair`` region exactly once (mirror
-    slots dropped, orientation permutations folded into the plus-side
-    gather indices, batches merged by index signature), and the kernel
-    scatters the one computed flux to both owning elements with
-    opposite signs.  Faces whose partner is a ghost element keep their
-    per-slot ``face_cf`` form.  This halves conforming-face work; it
-    reorders lift accumulation, so only the tolerance-validated elastic
-    kind does it.
+    The face batches are *merged*: the mortar batches of one region
+    whose transfer matrices are byte-equal join one batch, and so do
+    all boundary batches.  Their lifted rows land in the lift buffer
+    ``P["lb"]``, which the tail applies with one ``np.subtract.at`` at
+    the flat targets ``P["lt"]``.  For the bit-exact kinds
+    (:func:`~repro.mangll.compiler.lower.merged_batch_envs`) that is the
+    reference's accumulation order, whatever order the batches run in.
+    The elastic kind (:func:`~repro.mangll.compiler.lower.elastic_batch_envs`)
+    first *pairs* each interface with both sides local, conforming or
+    2:1: one flux, deposited to both elements with opposite signs.  That
+    reorders the lift's sums, so only the tolerance-validated kind does it.
 
     ``P["ws"]`` is the binding's workspace: one flat array every planned
     region's temporaries are slots of, sized here from the analysis
@@ -167,10 +156,9 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
     fb = []
     rows = {"main": nl}
 
-    def slot(region: str, env: Dict[str, Any], nrows: int, **flags: bool) -> None:
+    def slot(region: str, env: Dict[str, Any], nrows: int) -> None:
         B = ev.batch_bind(region, env)
         B["k"] = FACE_K[region]
-        B.update(flags)
         # A batch larger than the region's block enters the kernel as
         # consecutive chunks (row slices of its tables, in order) — never
         # a one-row chunk out of a longer batch: a mortar einsum sums a
@@ -188,69 +176,16 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
             rows[region] = max(rows.get(region, 0), chunk["n"])
             fb.append(chunk)
 
-    if kind == "elastic":
-        _elastic_batches(solver, slot)
-    else:
-        nf = solver.model.nfields
-        envs, P["lt"] = merged_batch_envs(solver, nf)
-        for region, env in envs:
-            slot(region, env, len(env["pos"]))
-        # One value per lift target: (face rows, face nodes, fields).
-        P["lb"] = np.empty(len(P["lt"])).reshape(-1, solver.space.nfp, nf)
+    nf = solver.model.nfields
+    batch_envs = elastic_batch_envs if kind == "elastic" else merged_batch_envs
+    envs, P["lt"] = batch_envs(solver, nf)
+    for region, env in envs:
+        slot(region, env, len(env["pos"]))
+    # One value per lift target: (lifted face rows, face nodes, fields).
+    P["lb"] = np.empty(len(P["lt"])).reshape(-1, solver.space.nfp, nf)
     P["fb"] = fb
     P["ws"] = np.empty(an.workspace_items(rows))
     return P
-
-
-def _elastic_batches(solver: Any, slot: Callable[..., None]) -> None:
-    """Hand the elastic kind's face batches to ``slot``, pairing conforming
-    local-local faces when every conforming transfer is a permutation."""
-    envs = list(dg_batch_envs(solver))
-    pair = all(
-        permutation_rows(env["tr"]) is not None
-        for region, env in envs
-        if env["_kind"] == CONFORMING
-    )
-    nl = solver.space.mesh.nelem_local
-    groups: Dict[Tuple[bytes, bytes], Dict[str, Any]] = {}
-
-    def unique(idx: np.ndarray) -> bool:
-        # Unique rows -> the fancy -= lift equals the unbuffered
-        # np.subtract.at; duplicated rows fall back to it.
-        return bool(len(np.unique(idx)) == len(idx))
-
-    def put(region: str, env: Dict[str, Any]) -> None:
-        em = env["em"]
-        if region == "face_pair":
-            slot(region, env, len(em), u=unique(em), up=unique(env["ep"]))
-        else:
-            slot(region, env, len(em), u=unique(em))
-
-    for region, env in envs:
-        if not (pair and env["_kind"] == CONFORMING):
-            put(region, env)
-            continue
-        perm = permutation_rows(env["tr"])
-        pidx2 = env["pidx"][perm]
-        em, ep = env["em"], env["ep"]
-        keep = (ep < nl) & (em < ep)  # one slot per local-local face
-        rest = (ep >= nl) | (em == ep)  # ghost partner / self-adjacency
-        if rest.any():
-            sub = dict(env)
-            for name in ("em", "ep", "n", "sj", "xf"):
-                sub[name] = env[name][rest]
-            put("face_cf", sub)
-        if keep.any():
-            grp = groups.setdefault(
-                (env["fidx"].tobytes(), pidx2.tobytes()),
-                {"fidx": env["fidx"], "pidx": pidx2, "parts": []},
-            )
-            grp["parts"].append({name: env[name][keep] for name in ("em", "ep", "n", "sj", "xf")})
-    for grp in groups.values():
-        env_g: Dict[str, Any] = {"fidx": grp["fidx"], "pidx": grp["pidx"]}
-        for name in ("em", "ep", "n", "sj", "xf"):
-            env_g[name] = np.concatenate([p[name] for p in grp["parts"]])
-        put("face_pair", env_g)
 
 
 # --- CG element kernels -----------------------------------------------------

@@ -31,7 +31,7 @@ p-transfer contractions — into a graph of *typed tensor ops*:
     them is emitted unblocked and unplanned, as before.
 
 Side effects are explicit: a :class:`Stmt` list orders accumulations,
-slice stores, scatters and the staged face lifts.  Pure nodes
+slice stores and the staged face lifts.  Pure nodes
 never reorder across the statement that first needs them, which is the
 contract that keeps the emitted kernel *bit-identical* to the
 interpreted reference: the passes (:mod:`repro.mangll.compiler.passes`)
@@ -94,10 +94,9 @@ class Stmt:
     ``kind`` is ``"iop"`` (``target op= value`` with ``op`` in the
     ``sym`` attr), ``"setitem"`` / ``"isetop"`` (``target[idx] = value``
     or ``target[idx] op= value`` with the index expression in ``idx``),
-    ``"scatter"`` (a per-batch face lift: subtract ``value`` at the rows
-    ``rows`` of a 2-D ``target``), ``"deposit"`` (stage ``value`` at the
-    rows ``rows`` of the kernel's lift buffer), ``"lift"`` (apply every
-    staged row to ``target``, in lift-buffer order), or ``"ret"``.
+    ``"deposit"`` (stage ``value`` at the rows ``rows`` of the kernel's
+    lift buffer), ``"lift"`` (apply every staged row to ``target``, in
+    lift-buffer order), or ``"ret"``.
     """
 
     kind: str
@@ -107,9 +106,6 @@ class Stmt:
     sym: str = ""
     idx: str = ""
     rows: Optional[int] = None
-    #: scatter uniqueness-key suffix (``B["u" + tag]``); lets one region
-    #: carry several scatters with distinct index sets.
-    tag: str = ""
 
 
 class Graph:
@@ -195,26 +191,10 @@ class Graph:
             Stmt("isetop", self._region, target, value, sym=sym, idx=idx)
         )
 
-    def scatter(
-        self, target: int, rows: int, value: int, sym: str = "-", tag: str = ""
-    ) -> None:
-        """Accumulate ``value`` into the rows ``rows`` of a 2-D ``target``.
-
-        Emitted as a fancy ``-=`` (or ``+=`` with ``sym="+"``) when the
-        batch's rows are unique (checked at bind time; a planned region
-        runs it as take / subtract / store through a workspace slot) and
-        as ``np.subtract.at`` / ``np.add.at`` otherwise.  ``tag``
-        suffixes the batch's uniqueness key (``B["u" + tag]``) so one
-        region may scatter to two index sets.
-        """
-        self.stmts.append(
-            Stmt("scatter", self._region, target, value, sym=sym, rows=rows, tag=tag)
-        )
-
     def deposit(self, rows: int, value: int) -> None:
         """Stage a face lift: ``value``'s rows go to rows ``rows`` of the
-        kernel's lift buffer (``P["lb"]``, one row per face row of the
-        mesh, in the reference's batch order) — a plain store, no sum."""
+        kernel's lift buffer (``P["lb"]``, one row per lifted face row of
+        the mesh) — a plain store, no sum."""
         self.stmts.append(Stmt("deposit", self._region, value=value, rows=rows))
 
     def lift(self, target: int) -> None:
@@ -243,7 +223,7 @@ class Graph:
         """Ids of nodes that are targets of any mutating statement."""
         out = set()
         for s in self.stmts:
-            if s.kind in ("iop", "setitem", "isetop", "scatter", "lift") and s.target is not None:
+            if s.kind in ("iop", "setitem", "isetop", "lift") and s.target is not None:
                 out.add(s.target)
         return frozenset(out)
 

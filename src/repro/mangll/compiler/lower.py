@@ -32,21 +32,23 @@ Flux models are lowered per *kind*:
     planes (a flux component goes straight into its plane of a
     ``stack``), the derivative along x and the mortar products are each
     one GEMM over all planes, and one transpose brings the block back.
-    This reorders floating-point operations, so elastic kernels match
-    the interpreted reference to rounding (validated by tolerance), not
-    bit-for-bit; the bit-exactness contract covers the advection and
-    acoustic (wave) kinds.  Only ``boundary_state`` stays an extern
-    call, which keeps boundary batches out of blocking and planning.
+    The boundary condition (free surface or mirror) is substituted into
+    the Riemann solution, so the kernel never calls the model, and every
+    interface with both sides local is evaluated once.  This reorders
+    floating-point operations, so elastic kernels match the interpreted
+    reference to rounding (validated by tolerance), not bit-for-bit;
+    the bit-exactness contract covers the other kinds.
 ``generic``
     Anything else — volume/numerical/boundary fluxes stay extern calls
     on the model object; hoisting still removes the geometry factors,
     and the traces and lifts around them are the other bit-exact kinds'.
 
-The advection, acoustic and generic kinds keep every float of the
-reference, so their face regions run on *merged* batches (one per
-region and transfer matrix) that gather through flat node-major index
-tables and deposit their lifts for one ordered ``np.subtract.at`` in the
-tail; the elastic kind scatters per batch.
+Every kind runs its face regions on *merged* batches (one per region
+and transfer matrix) that gather through flat node-index tables and
+deposit their lifts for one ``np.subtract.at`` in the tail.  The
+advection, acoustic and generic kinds keep every float of the
+reference: their tables are node-major and the lift walks the
+reference's order.  The elastic kind's layout is free.
 
 The bind *providers* at the bottom give the evaluator its environment:
 global tables come from the (internal, reference) ``DGSolver`` so they
@@ -219,10 +221,13 @@ class _ModelLowering:
         """``(a x + b y) / 2`` — a symmetrized strain row."""
         return self.g.pw("0.5 * ({0} * {1} + {2} * {3})", a, x, b, y)
 
-    def elastic_face_out(self, qmT: int, qpT: int, n: int, sjw: int, xf: int) -> int:
+    def elastic_face_out(
+        self, qmT: int, qpT: Optional[int], n: int, sjw: int, xf: int, bc: str = ""
+    ) -> int:
         """Lifted Godunov elastic interface flux, ``sj * wf`` folded in.
 
-        Takes both traces and returns the flux as planes
+        Takes both traces — or, on a boundary face, the minus trace and
+        the boundary condition ``bc`` — and returns the flux as planes
         ``(nf, rows, face points)``.  Same Riemann solution as
         ``ElasticModel.numerical_flux`` — normal/tangential split, P and
         S stars, fluid (mu -> 0) guard — but algebraically consolidated:
@@ -241,7 +246,18 @@ class _ModelLowering:
         ``flux * sjwf`` pass or temporary exists.  The value returned is
         the *minus-side* lift contribution; by conservation the plus-side
         contribution of an interior face is exactly its negation, which
-        the ``face_pair`` region exploits.
+        the ``face_pair`` and ``face_hang`` regions exploit.
+
+        A boundary face substitutes ``ElasticModel.boundary_state``'s
+        ghost into the same scalars: ``free`` is ``m+ = m-``,
+        ``T+ = -T-`` (then ``S_m``, ``T-_i + T+_i`` and ``m+_i - m-_i``
+        vanish: the momentum rows are exactly zero), ``mirror`` is
+        ``m+ = m- - 2 (m-.n) n``, ``T+ = 2 Tn- n - T-``.  Both leave
+        ``v*_i = a n_i + m-_i / rho - T-_i / z_s`` with ``a = (1/z_s -
+        1/z_p) Tn-`` (free) or ``Tn- / z_s - vn-`` (mirror), and mirror
+        momentum rows ``n_i sj wf (z_p vn- - Tn-)``.  In fluid points
+        ``T = Tn n``, so the reference's isotropic fluid ghost is this
+        same state.
         """
         g, dim = self.g, self.dim
         rho, lam, mu = self._material(xf)
@@ -283,30 +299,44 @@ class _ModelLowering:
             return m, T, Tn, vn
 
         mm, Tm, Tmn, vmn = side(qmT)
-        mp, Tp, Tpn, vpn = side(qpT)
-        TnS = g.pw("{0} + {1}", Tmn, Tpn)
-        dTn = g.pw("{0} - {1}", Tpn, Tmn)
-        dvn = g.pw("{0} - {1}", vpn, vmn)
-        S_v = g.pw("{0} * {1}", czz, dTn)
-        S_m = g.pw("{0} * {1} + {2} * {3}", c1, TnS, c2, dvn)
-        Tsum = [g.pw("{0} + {1}", Tm[i], Tp[i]) for i in range(dim)]
-        Tdiff = [g.pw("{0} - {1}", Tp[i], Tm[i]) for i in range(dim)]
-        msum = [g.pw("{0} + {1}", mm[i], mp[i]) for i in range(dim)]
-        mdiff = [g.pw("{0} - {1}", mp[i], mm[i]) for i in range(dim)]
-        vstar = [
-            g.pw(
-                "{0} * {1} + {2} * {3} + {4} * {5}",
-                S_v, nc[i], hrho, msum[i], inv2zs, Tdiff[i],
-            )
-            for i in range(dim)
-        ]
-        comps = [
-            g.pw(
-                "{0} * {1} - {2} * {3} - {4} * {5}",
-                S_m, ncw[i], shw, Tsum[i], hzsrw, mdiff[i],
-            )
-            for i in range(dim)
-        ]
+        if qpT is None:
+            invzs = g.pw("2.0 * {0}", inv2zs)
+            if bc == "free":
+                a = g.pw("{0} * {1}", g.pw("{0} - 2.0 * {1}", invzs, inv2zp), Tmn)
+                comps = [g.pw("np.zeros_like({0})", sjw)] * dim
+            else:  # mirror
+                a = g.pw("{0} * {1} - {2}", invzs, Tmn, vmn)
+                zvt = g.pw("{0} * {1} - {2}", zp, vmn, Tmn)
+                comps = [g.pw("{0} * {1}", ncw[i], zvt) for i in range(dim)]
+            vstar = [
+                g.pw("{0} * {1} + {2} * {3} - {4} * {5}", a, nc[i], invrho, mm[i], invzs, Tm[i])
+                for i in range(dim)
+            ]
+        else:
+            mp, Tp, Tpn, vpn = side(qpT)
+            TnS = g.pw("{0} + {1}", Tmn, Tpn)
+            dTn = g.pw("{0} - {1}", Tpn, Tmn)
+            dvn = g.pw("{0} - {1}", vpn, vmn)
+            S_v = g.pw("{0} * {1}", czz, dTn)
+            S_m = g.pw("{0} * {1} + {2} * {3}", c1, TnS, c2, dvn)
+            Tsum = [g.pw("{0} + {1}", Tm[i], Tp[i]) for i in range(dim)]
+            Tdiff = [g.pw("{0} - {1}", Tp[i], Tm[i]) for i in range(dim)]
+            msum = [g.pw("{0} + {1}", mm[i], mp[i]) for i in range(dim)]
+            mdiff = [g.pw("{0} - {1}", mp[i], mm[i]) for i in range(dim)]
+            vstar = [
+                g.pw(
+                    "{0} * {1} + {2} * {3} + {4} * {5}",
+                    S_v, nc[i], hrho, msum[i], inv2zs, Tdiff[i],
+                )
+                for i in range(dim)
+            ]
+            comps = [
+                g.pw(
+                    "{0} * {1} - {2} * {3} - {4} * {5}",
+                    S_m, ncw[i], shw, Tsum[i], hzsrw, mdiff[i],
+                )
+                for i in range(dim)
+            ]
         for i, j in self.pairs:
             if i == j:
                 comps.append(g.pw("{0} * {1}", nnw[i], vstar[i]))
@@ -451,7 +481,7 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
                 rT = contrib
             else:
                 g.iop("+", rT, contrib)
-        r = g.pw("np.empty_like({0})", q)
+        r = g.pw("np.empty({0}.shape)", q)  # C-ordered: the tail's lift writes r's flat view
         g.setitem(r, ":", g.pw("np.moveaxis({0}, 0, -1)", rT))
     else:
         # C-ordered whatever q's layout: the tail's lift writes r's flat view.
@@ -465,8 +495,7 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
             out = g.einsum(_DT_SUBS[(dim, a)], D, gre)
             g.iop("+", r, g.pw(f"{{0}}.reshape(-1, {npts}, {nf})", out))
 
-    indices = {"fidx": (nfp,), "pidx": (nfp,), "em": ("b",), "ep": ("b",),
-               "gm": ("b", nfp), "gp": ("b", nfp), "pos": ("b",)}
+    indices = {"gm": ("b", nfp), "gp": ("b", nfp), "pos": ("b",), "pp": ("b",)}
 
     def batch_leaves(*names: str) -> List[int]:
         shapes = {
@@ -476,74 +505,66 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
         return [g.barg(nm, shapes[nm], index=nm in indices) for nm in names]
 
     if kind == "elastic":
-        # Faces on planes too: one flat-index take per trace (rows of nf
-        # contiguous values), one transpose in, the mortar products as
-        # one GEMM over all planes, one transpose out, and a lift that
-        # goes through a workspace slot (take / subtract / store).
-        r2 = g.pw(f"{{0}}.reshape(-1, {nf})", r)
-
-        def flat(elems: int, idx: int) -> int:
-            return g.pw(f"{{0}}[:, None] * {npts} + {{1}}[None, :]", elems, idx)
-
+        # Faces on planes too: one take per trace over flat node indices
+        # (``gm``/``gp``, row-major: each row's nf values are contiguous),
+        # one transpose in, the mortar products as one GEMM over all
+        # planes, and the lifted planes deposited through a transposed
+        # view: the deposit's store is the one transpose out.
         def trace(rows: int) -> int:
-            return g.pw(f"np.take({{0}}.reshape(-1, {nf}), {{1}}, axis=0, mode='clip')", qa, rows)
+            take = f"np.take({{0}}.reshape(-1, {nf}), {{1}}, axis=0, mode='clip')"
+            return ml.planes(g.pw(take, qa, rows))
 
         def mortar(planes: int, mat: int) -> int:
             product = f"np.matmul({{0}}.reshape(-1, {nfp}), {{1}})"
             return g.pw(f"{product}.reshape({nf}, -1, {nfp})", planes, mat)
 
-        def lifted(qmT: int, qpT: int, n: int, sj: int, xf: int) -> int:
+        def lifted(qmT: int, qpT: Optional[int], n: int, sj: int, xf: int, bc: str = "") -> int:
             sjw = g.pw("{0} * {1}[None, :]", sj, wf)
-            return ml.elastic_face_out(qmT, qpT, n, sjw, xf)
+            return ml.elastic_face_out(qmT, qpT, n, sjw, xf, bc)
 
-        def rows_of(planes: int) -> int:
-            return g.pw("np.ascontiguousarray(np.moveaxis({0}, 0, -1))", planes)
+        def deposit(pos: int, planes: int) -> None:
+            g.deposit(pos, g.pw("np.moveaxis({0}, 0, -1)", planes))
 
+        # One-sided faces: a ghost partner, a self-adjacent face.
         g.region("face_cf")
-        fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
-            "fidx", "pidx", "em", "ep", "n", "sj", "xf", "tr"
-        )
+        gm, gp, pos, n, sj, xf, tr = batch_leaves("gm", "gp", "pos", "n", "sj", "xf", "tr")
         trT = g.pw("np.ascontiguousarray({0}.T)", tr)
-        rows_m = flat(em, fidx)
-        qmT = ml.planes(trace(rows_m))
-        qpT = mortar(ml.planes(trace(flat(ep, pidx))), trT)
-        g.scatter(r2, rows_m, rows_of(lifted(qmT, qpT, n, sj, xf)))
+        deposit(pos, lifted(trace(gm), mortar(trace(gp), trT), n, sj, xf))
 
-        g.region("face_b")
-        fidx, em, n, sj, xf = batch_leaves("fidx", "em", "n", "sj", "xf")
-        rows_m = flat(em, fidx)
-        qm = trace(rows_m)
-        qp = ml.boundary_state(qm, n, xf, t)
-        out = lifted(ml.planes(qm), ml.planes(qp), n, sj, xf)
-        g.scatter(r2, rows_m, rows_of(out))
+        # Boundary faces, one region per boundary condition.
+        for region, bc in (("face_b", "free"), ("face_mirror", "mirror")):
+            g.region(region)
+            gm, pos, n, sj, xf = batch_leaves("gm", "pos", "n", "sj", "xf")
+            deposit(pos, lifted(trace(gm), None, n, sj, xf, bc))
 
         g.region("face_coarse")
-        fidx, pidx, em, ep, n, sj, xf, tr = batch_leaves(
-            "fidx", "pidx", "em", "ep", "n", "sj", "xf", "tr"
+        gm, gp, pos, n, sj, xf, tr = batch_leaves("gm", "gp", "pos", "n", "sj", "xf", "tr")
+        trT = g.pw("np.ascontiguousarray({0}.T)", tr)
+        out = lifted(mortar(trace(gm), trT), trace(gp), n, sj, xf)
+        deposit(pos, mortar(out, tr))
+
+        # Paired faces: every interface whose two sides are both local
+        # is evaluated ONCE (the reference visits it from each side).  By
+        # conservation the plus side's lift is the negated minus side's —
+        # same interface, opposite outward normal — so one flux feeds two
+        # deposits.  Conforming pairs have their orientation permutation
+        # folded into ``gp`` at bind (no mortar product); a 2:1 pair is
+        # evaluated at the fine side's nodes and lifts into the coarse
+        # side through the negated transposed interpolation.
+        g.region("face_pair")
+        gm, gp, pos, pp, n, sj, xf = batch_leaves("gm", "gp", "pos", "pp", "n", "sj", "xf")
+        out = lifted(trace(gm), trace(gp), n, sj, xf)
+        deposit(pos, out)
+        deposit(pp, g.pw("-{0}", out))
+
+        g.region("face_hang")
+        gm, gp, pos, pp, n, sj, xf, tr = batch_leaves(
+            "gm", "gp", "pos", "pp", "n", "sj", "xf", "tr"
         )
         trT = g.pw("np.ascontiguousarray({0}.T)", tr)
-        rows_m = flat(em, fidx)
-        qmT = mortar(ml.planes(trace(rows_m)), trT)
-        qpT = ml.planes(trace(flat(ep, pidx)))
-        g.scatter(r2, rows_m, rows_of(mortar(lifted(qmT, qpT, n, sj, xf), tr)))
-
-        # Paired conforming faces: each geometric interior face whose
-        # two sides are both local is visited ONCE (the reference and
-        # the other kinds visit it twice, once per owning element).  By
-        # conservation the plus-side lift contribution is exactly the
-        # negation of the minus-side one — same interface, opposite
-        # outward normal — so one flux evaluation feeds two scatters.
-        # Orientation permutations are folded into ``pidx`` at bind
-        # time (prepare_dg_rhs), so no mortar interpolation appears.
-        g.region("face_pair")
-        fidx, pidx, em, ep, n, sj, xf = batch_leaves(
-            "fidx", "pidx", "em", "ep", "n", "sj", "xf"
-        )
-        rows_m = flat(em, fidx)
-        rows_p = flat(ep, pidx)
-        out = rows_of(lifted(ml.planes(trace(rows_m)), ml.planes(trace(rows_p)), n, sj, xf))
-        g.scatter(r2, rows_m, out)
-        g.scatter(r2, rows_p, out, sym="+", tag="p")
+        out = lifted(trace(gm), mortar(trace(gp), trT), n, sj, xf)
+        deposit(pos, out)
+        deposit(pp, mortar(out, g.pw("-{0}", tr)))
     else:
         # A face batch here is every mortar of one region that shares one
         # transfer matrix (prepare_dg_rhs merges them), so ``gm``/``gp``
@@ -588,8 +609,7 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
 
     # Tail: the staged face lifts, then the inverse diagonal mass.
     g.region("tail")
-    if kind != "elastic":
-        g.lift(r)
+    g.lift(r)
     g.iop("*", r, g.pw("{0}[..., None]", lift))
     g.ret(r)
     return g
@@ -785,9 +805,7 @@ def dg_batch_envs(solver) -> Iterator[Tuple[str, Dict[str, object]]]:
         f = batch.fminus
         fidx = face_node_indices(dim, nq, f)
         region = KIND_REGION[batch.kind]
-        # "_kind" is not a barg: it lets prepare_dg_rhs tell conforming
-        # mortars (pairable for the elastic kind) from fine ones.
-        env: Dict[str, object] = {"fidx": fidx, "em": batch.eminus, "_kind": batch.kind}
+        env: Dict[str, object] = {"fidx": fidx, "em": batch.eminus}
         if batch.kind in (CONFORMING, FINE):
             env["pidx"] = face_node_indices(dim, nq, batch.fplus)
             env["ep"] = batch.eplus
@@ -871,6 +889,98 @@ def merged_batch_envs(
         if "tr" in env:
             grp["tr"] = env["tr"]
     return [(key[0], grp) for key, grp in groups.items()], targets.reshape(-1)
+
+
+#: Elastic boundary condition -> the face region it is lowered in.
+ELASTIC_BC_REGION = {"free": "face_b", "mirror": "face_mirror"}
+
+
+def elastic_batch_envs(
+    solver, nfields: int
+) -> Tuple[List[Tuple[str, Dict[str, object]]], np.ndarray]:
+    """Face-batch environments of the elastic kind, and the lift targets.
+
+    Every interface with both sides local is one *pair* row, evaluated
+    once: a conforming face from its lower-numbered element (orientation
+    permutation folded into ``gp``: region ``face_pair``), a 2:1 face
+    from its fine side (``face_hang``).  The mirror rows — conforming
+    rows from the higher element, COARSE rows whose fine partner is
+    local — are dropped.  Faces with a ghost partner and self-adjacent
+    faces stay one-sided (``face_cf`` / ``face_coarse``), and boundary
+    rows go to the region of the model's boundary condition.  Rows merge
+    per (region, transfer matrix), so all conforming pairs are one batch,
+    and carry row-major flat node indices ``gm``/``gp``, their lift-buffer
+    row ``pos`` and, for a pair, its other side's ``pp``.
+    """
+    sp = solver.space
+    m = sp.mesh
+    nl, npts, nall = m.nelem_local, m.npts, len(m.coords)
+    batches = sp.batches
+
+    def hang_key(fine: np.ndarray, coarse: np.ndarray, face: int) -> np.ndarray:
+        return (fine * nall + coarse) * (2 * sp.dim) + face
+
+    # 2:1 faces seen from both sides, i.e. with both sides local.
+    fine = [hang_key(b.eminus, b.eplus, b.fminus) for b in batches if b.kind == FINE]
+    coarse = [hang_key(b.eplus, b.eminus, b.fplus) for b in batches if b.kind == COARSE]
+    none = np.empty(0, dtype=np.int64)
+    hung = np.intersect1d(np.concatenate([none, *fine]), np.concatenate([none, *coarse]))
+    perms = [permutation_rows(b.transfer) if b.kind == CONFORMING else None for b in batches]
+    pair_conforming = all(p is not None for b, p in zip(batches, perms) if b.kind == CONFORMING)
+    groups: Dict[Tuple[str, bytes], Tuple[Optional[np.ndarray], List[Dict]]] = {}
+
+    def put(region: str, tr, part: Dict[str, np.ndarray], rows: np.ndarray) -> None:
+        if rows.any():
+            key = (region, b"" if tr is None else tr.tobytes())
+            groups.setdefault(key, (tr, []))[1].append({k: v[rows] for k, v in part.items()})
+
+    for batch, perm, (region, env) in zip(batches, perms, dg_batch_envs(solver)):
+        em, tr = env["em"], env.get("tr")
+        part = {name: env[name] for name in ("n", "sj", "xf")}
+        part["gm"] = em[:, None] * npts + env["fidx"][None, :]
+        every = np.ones(len(em), dtype=bool)
+        if batch.kind == BOUNDARY:
+            put(ELASTIC_BC_REGION[solver.model.bc], None, part, every)
+            continue
+        ep, pidx = env["ep"], env["pidx"]
+        part["gp"] = ep[:, None] * npts + pidx[None, :]
+        if batch.kind == CONFORMING and pair_conforming:
+            local = (ep < nl) & (em != ep)
+            put("face_pair", None, dict(part, gp=ep[:, None] * npts + pidx[perm][None, :]),
+                local & (em < ep))
+            put(region, tr, part, ~local)
+        elif batch.kind == FINE:
+            hang = np.isin(hang_key(em, ep, batch.fminus), hung)
+            put("face_hang", tr, part, hang)
+            put(region, tr, part, ~hang)
+        elif batch.kind == COARSE:
+            put(region, tr, part, ~np.isin(hang_key(ep, em, batch.fplus), hung))
+        else:
+            put(region, tr, part, every)
+
+    envs: List[Tuple[str, Dict[str, np.ndarray]]] = []
+    targets: List[np.ndarray] = [np.empty((0, sp.nfp), dtype=np.int64)]
+    start = 0
+    for (region, _), (tr, parts) in groups.items():
+        grp = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+        sides = ("gm", "gp") if region in ("face_pair", "face_hang") else ("gm",)
+        for name, side in zip(("pos", "pp"), sides):
+            grp[name] = np.arange(start, start + len(grp[side]))
+            start += len(grp[side])
+            targets.append(grp[side])
+        if tr is not None:
+            grp["tr"] = tr
+        envs.append((region, grp))
+    # Lift-buffer rows in element order: the lift then walks r nearly
+    # sequentially (~1.3x faster than in batch order).
+    tgt = np.concatenate(targets)
+    order = np.argsort(tgt[:, 0], kind="stable")
+    rank = np.argsort(order)
+    for _, grp in envs:
+        for name in ("pos", "pp"):
+            if name in grp:
+                grp[name] = rank[grp[name]]
+    return envs, (tgt[order][..., None] * nfields + np.arange(nfields)).reshape(-1)
 
 
 def permutation_rows(tr: np.ndarray) -> Optional[np.ndarray]:

@@ -8,7 +8,7 @@ after the passes):
 1. :func:`cse` — common-subexpression elimination.  Two pure nodes with
    the same op, attrs, and (canonicalized) inputs compute the same
    value; the later one is remapped onto the earlier.  Nodes *tainted*
-   by mutation (targets of ``setitem``/``iop``/``scatter`` statements,
+   by mutation (targets of ``setitem``/``iop``/``lift`` statements,
    and anything reading them) are excluded: merging them could observe
    an array before/after a store.  Commutative einsums (the CG metric
    term ``g_ab``) canonicalize operand order first, so ``(a, b)`` and

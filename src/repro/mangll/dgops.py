@@ -33,7 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.mangll.mesh import Mesh, face_node_indices
+from repro.mangll.mesh import Mesh
 from repro.mangll.quadrature import gauss_lobatto, lagrange_interpolation_matrix
 from repro.p4est.connectivity import (
     CellTransform,
@@ -204,11 +204,6 @@ class DGSpace:
             return q
         gq = self.ghost.exchange_octant_data(comm, q)
         return np.concatenate([q, gq], axis=0)
-
-    def face_trace(self, q_all: np.ndarray, elems: np.ndarray, face: int) -> np.ndarray:
-        """Extract the nodal trace of ``q_all`` on ``face`` of ``elems``."""
-        idx = face_node_indices(self.dim, self.nq, face)
-        return q_all[elems][:, idx]
 
     def lift_scale(self) -> np.ndarray:
         """Inverse diagonal mass: 1 / (w_i detJ_i) per local element node."""

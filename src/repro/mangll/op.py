@@ -155,9 +155,8 @@ class BoundDGOperator:
     always run interpreted.
 
     A compiled binding owns one workspace (``P["ws"]``, allocated here,
-    at bind) that every block of every ``rhs`` call computes in, and —
-    for the bit-exact kinds — one lift buffer (``P["lb"]``) its face
-    batches stage their lifts in: the
+    at bind) that every block of every ``rhs`` call computes in, and one
+    lift buffer (``P["lb"]``) its face batches stage their lifts in: the
     array ``rhs`` returns is fresh each time, but two ``rhs`` calls on
     *one* binding must not overlap.  Bind the spec again for a second
     concurrent user — bindings share nothing.
@@ -177,11 +176,13 @@ class BoundDGOperator:
                 compiled = kc.compile_dg_rhs(
                     space.dim, space.degree, model.nfields, kind
                 )
-                # Generic and elastic kernels call back into the model
-                # (extern fluxes / the boundary ghost state), and the
-                # elastic bind stage evaluates material(x) per hoisted
-                # coordinate table; memoizing by array identity makes
-                # both hit the same bind-time coefficients.
+                # Generic kernels call back into the model at run time
+                # (extern fluxes) on the hoisted coordinate tables;
+                # memoizing material(x) by array identity makes those
+                # calls hit the bind-time coefficients.  The elastic
+                # kernel never calls the model: it needs the memo at
+                # bind only, where material(x) is evaluated once per
+                # hoisted coordinate table.
                 if kind in ("generic", "elastic"):
                     self._run_model = _freeze_material(model)
                 self._P = kc.prepare_dg_rhs(compiled, self.solver, self._run_model)

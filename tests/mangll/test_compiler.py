@@ -128,14 +128,18 @@ def test_dg_generic_model_bit_identical():
     assert np.array_equal(compiled.rhs(q, 0.1), interp.rhs(q, 0.1))
 
 
+@pytest.mark.parametrize("bc", ["free", "mirror"])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_dg_elastic_model_tolerance_and_material_hoisted(dim):
+def test_dg_elastic_model_tolerance_and_material_hoisted(dim, bc):
     """The elastic kind uses the tolerance-validated fast lowering
-    (paired conforming faces, fused gathers, BLAS mortar products): the
-    compiled RHS agrees with the reference to near machine precision,
-    and the material field is evaluated once at bind time (zero calls
-    on reapply, while the reference re-evaluates every application)."""
+    (paired interfaces, the boundary condition in the IR, BLAS mortar
+    products): the compiled RHS agrees with the reference to near
+    machine precision under either boundary condition, and the material
+    field is evaluated once at bind time (zero calls on reapply, while
+    the reference re-evaluates every application)."""
     from repro.apps.dgea.elastic import ElasticModel, homogeneous_material
+    from repro.mangll.compiler.emit import FACE_K
+    from repro.mangll.compiler.lower import ELASTIC_BC_REGION
 
     ctx = make_ctx(dim, 3)
     calls = {"n": 0}
@@ -145,15 +149,14 @@ def test_dg_elastic_model_tolerance_and_material_hoisted(dim):
         calls["n"] += 1
         return base(x)
 
-    model = ElasticModel(dim, counting_material, bc="mirror")
+    model = ElasticModel(dim, counting_material, bc=bc)
     assert kc.model_kind(model) == "elastic"
     compiled = DGOperator(model, 3).bind(ctx)
     interp = DGOperator(model, 3, compile=False).bind(ctx)
-    # The fast lowering pairs every local-local conforming mortar.
-    from repro.mangll.compiler.emit import FACE_K
-
-    kinds = [B["k"] for B in compiled._P["fb"]]
-    assert FACE_K["face_pair"] in kinds
+    # Local-local interfaces are paired; boundary rows run in their
+    # condition's region.
+    kinds = {B["k"] for B in compiled._P["fb"]}
+    assert {FACE_K["face_pair"], FACE_K["face_hang"], FACE_K[ELASTIC_BC_REGION[bc]]} <= kinds
     q = random_q(ctx, model)
     for t in (0.0, 0.37):
         rc, ri = compiled.rhs(q, t), interp.rhs(q, t)
@@ -304,6 +307,28 @@ def test_cache_rejects_an_entry_from_another_emitter(tmp_path, monkeypatch):
     again = KernelCache(str(tmp_path))
     kc.compile_transfer(2, 2, cache=again)
     assert again.disk_hits == 1 and again.stale == 0
+
+
+def test_cache_rebuilds_a_truncated_entry_without_executing_it(tmp_path, monkeypatch):
+    """An entry with an intact header over a body cut mid-line (a torn
+    copy, a full disk) is stale: it is rebuilt and republished whole, and
+    the cut body never reaches ``_exec_kernel_source``."""
+    from repro.mangll.compiler import cache as cache_mod
+
+    kc.compile_dg_rhs(2, 3, 1, "advection", cache=KernelCache(str(tmp_path)))
+    path = KernelCache(str(tmp_path)).path_for(kc.dg_cache_key(2, 3, 1, "advection"))
+    head, _, body = path.read_text().partition("\n")
+    path.write_text(head + "\n" + body[: body.index("\n", len(body) // 2) - 5])
+    executed = []
+    real = cache_mod._exec_kernel_source
+    monkeypatch.setattr(
+        cache_mod, "_exec_kernel_source", lambda b, k: executed.append(b) or real(b, k)
+    )
+    fresh = KernelCache(str(tmp_path))
+    compiled = kc.compile_dg_rhs(2, 3, 1, "advection", cache=fresh)
+    assert fresh.stale == 1 and fresh.misses == 1 and fresh.disk_hits == 0
+    assert executed == [body] and callable(compiled.fn("kernel"))
+    assert path.read_text() == head + "\n" + body
 
 
 def test_cache_memory_only_mode():

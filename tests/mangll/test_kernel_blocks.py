@@ -115,10 +115,10 @@ def test_elastic_matches_reference_at_every_block_edge(block_rows, rows):
     assert ctx.mesh.nelem_local == 38
     block_rows(rows)
     op = DGOperator(ElasticModel(3, graded_material), DEGREE).bind(ctx)
-    # The 64 paired faces arrive in batches of up to 22: a batch larger
+    # The 64 paired conforming faces are one merged batch: a batch larger
     # than a block enters the kernel as consecutive chunks.
     pairs = [B["n"] for B in op._P["fb"] if B["k"] == FACE_K["face_pair"]]
-    assert sum(pairs) == 64 and max(pairs) == min(rows, 22)
+    assert sum(pairs) == 64 and max(pairs) == min(rows, 64)
     err, scale = mismatch(ctx, random_q(ctx))
     assert err <= TOL * scale
 
@@ -177,7 +177,7 @@ def test_warm_rhs_allocates_only_its_result():
     assert ctx.mesh.nelem_local == 120
     op = DGOperator(ElasticModel(3, graded_material), DEGREE).bind(ctx)
     regions = kc.compile_dg_rhs(3, DEGREE, 9, "elastic").analyses["kernel"].regions
-    assert [name for name, rc in regions.items() if rc.rows is None] == ["face_b", "tail"]
+    assert [name for name, rc in regions.items() if rc.rows is None] == ["tail"]
     q = random_q(ctx)
     op.rhs(q, 0.0)
     tracemalloc.start()
