@@ -7,23 +7,32 @@ with arbitrary rotations.
 
 The algorithm iterates a bulk-synchronous round until a global fixpoint:
 
-1. every rank generates *constraints* from its leaves — for each leaf at
-   level ``l`` and each neighbor direction, the same-size neighbor region,
-   transformed into the neighbor tree when it lies outside the leaf's own
-   tree (faces use the rigid :class:`CellTransform`; edge/corner regions
-   use the pinned seeds of the edge/corner links);
+1. every rank generates *constraints* from its seed leaves — for each
+   seed at level ``l`` and each neighbor direction, the same-size
+   neighbor region, transformed into the neighbor tree when it lies
+   outside the leaf's own tree (faces use the rigid
+   :class:`CellTransform`; edge/corner regions use the pinned seeds of
+   the edge/corner links).  Round 1 seeds every leaf; a later round
+   seeds only the leaves the previous round created.  Regions at a
+   sibling's position are skipped: their proper ancestors are the shared
+   parent and above, never a leaf;
 2. constraints are routed to the ranks owning any leaf overlapping them
    (SFC owner search) with one sparse exchange;
 3. each rank refines any leaf that is a *proper ancestor* of a constraint
    region with ``level < constraint.level - 1`` (in a valid leaf set this
    is the only way a leaf can violate 2:1 against the region), repeating
    locally until stable;
-4. a logical-or allreduce decides whether another round is needed.
+4. a logical-or allreduce of "created a leaf" decides whether another
+   round is needed.  Splitting only makes leaves finer, so a region that
+   held stays held: every violation left after a round has its finer
+   leaf among that round's new leaves, and the seeded rounds split
+   exactly what full generation would.
 
 Refinement is monotone and bounded by ``maxlevel``, so the loop
 terminates; at the fixpoint the 2:1 condition holds globally by
-construction.  :func:`is_balanced` re-runs the generation in check-only
-mode and is used by the tests as an independent verifier.
+construction.  :func:`is_balanced` re-runs the full generation (every
+leaf, every direction) in check-only mode and is used by the tests as an
+independent verifier.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from repro.p4est.forest import Forest, octants_from_wire, octants_to_wire
 from repro.parallel.collectives import collective
 from repro.p4est.octant import (
     Octants,
+    all_neighbor_offsets,
     is_ancestor_pairwise,
     merge_sorted_octants,
     neighborhood,
@@ -67,27 +77,65 @@ def generate_neighbor_regions(
     1..codim, mapped into valid tree coordinates.
 
     Regions beyond an unconnected tree boundary are dropped, as are
-    regions of level below ``min_level`` (fused into the interior mask so
-    Balance's level filter costs no extra full-array copy).  The result
-    may contain duplicates; callers dedup as needed.
+    regions of level below ``min_level`` (a region has its leaf's level,
+    so those leaves generate nothing).  The result may contain
+    duplicates; callers dedup as needed.
     """
-    dim = conn.dim
+    leaves = _at_least(leaves, min_level)
     if not len(leaves):
-        return Octants.empty(dim)
+        return Octants.empty(conn.dim)
     # One batched shift over every (codim, direction) offset at once; the
     # former per-offset loop built 26 small arrays per call in 3D.
     _, nb = neighborhood(leaves, codim)
     inside = nb.inside_root()
-    deep = nb.level >= min_level if min_level > 0 else None
+    return _into_trees(conn, nb, inside, inside)
+
+
+def _constraint_regions(conn: Connectivity, leaves: Octants, codim: int) -> Octants:
+    """Balance's regions of ``leaves``: :func:`generate_neighbor_regions`
+    at ``min_level=2`` without the regions at a sibling's position.
+
+    A sibling region is covered by the sibling or its descendants; its
+    proper ancestors (the shared parent and above) are not leaves, so it
+    can never force a split.  Sibling regions lie in the parent, hence
+    always inside the root: only the interior part is filtered.
+    """
+    leaves = _at_least(leaves, 2)
+    if not len(leaves):
+        return Octants.empty(conn.dim)
+    _, nb = neighborhood(leaves, codim)
+    # Offset ``o`` reaches a sibling iff on every axis it moves along, the
+    # leaf's child-id bit points back into the parent (bit 0 moves +1,
+    # bit 1 moves -1).  Offset-major, like ``neighborhood``.
+    offs = all_neighbor_offsets(conn.dim, codim)
+    axis_bit = 1 << np.arange(3)
+    moved = (offs != 0) @ axis_bit
+    back = (offs < 0) @ axis_bit
+    cid = leaves.child_ids()
+    sibling = ((cid[None, :] & moved[:, None]) == back[:, None]).ravel()
+    inside = nb.inside_root()
+    return _into_trees(conn, nb, inside, inside & ~sibling)
+
+
+def _at_least(leaves: Octants, min_level: int) -> Octants:
+    """The leaves of level ``>= min_level`` (``leaves`` itself if all)."""
+    if min_level > 0 and len(leaves) and leaves.level.min() < min_level:
+        return leaves[leaves.level >= min_level]
+    return leaves
+
+
+def _into_trees(
+    conn: Connectivity, nb: Octants, inside: np.ndarray, keep: np.ndarray
+) -> Octants:
+    """``nb[keep]`` (``keep`` implies ``inside``) followed by the link
+    images of every region outside its root."""
     out: List[Octants] = []
-    take = inside if deep is None else inside & deep
-    if take.any():
-        out.append(nb[take])
-    outside = ~inside if deep is None else ~inside & deep
-    if outside.any():
-        out.extend(_route_exterior(conn, nb[outside]))
+    if keep.any():
+        out.append(nb[keep])
+    if not inside.all():
+        out.extend(_route_exterior(conn, nb[~inside]))
     if not out:
-        return Octants.empty(dim)
+        return Octants.empty(conn.dim)
     return Octants.concat(out)
 
 
@@ -104,6 +152,8 @@ def route_exterior_indexed(
     contiguous views — per-group boolean scans of the whole array were a
     leading cost of Balance and Ghost before the flat-array refactor.
     """
+    if not len(ext):
+        return []
     dim = conn.dim
     L = conn.D.root_len
     coords = [ext.x, ext.y, ext.z]
@@ -120,7 +170,7 @@ def route_exterior_indexed(
     codes_s = combined[order]
     cut = np.flatnonzero(codes_s[1:] != codes_s[:-1]) + 1
     starts = np.concatenate([[0], cut])
-    ends = np.concatenate([cut, [len(ext)]]) if len(ext) else starts
+    ends = np.concatenate([cut, [len(ext)]])
     results: List[Tuple[np.ndarray, Octants]] = []
     for a0, b0 in zip(starts, ends):
         group = ext_s[a0:b0]
@@ -203,14 +253,15 @@ def split_by_dest(dests: np.ndarray, src: np.ndarray, n: int):
         yield int(d[a]), s[a:b]
 
 
-def _enforce_constraints(leaves: Octants, constraints: Octants) -> Tuple[Octants, bool]:
+def _enforce_constraints(leaves: Octants, constraints: Octants) -> Tuple[Octants, Octants]:
     """Refine leaves violating the constraints until locally stable.
 
     A leaf violates a constraint region C iff the leaf is a proper
     ancestor of C with ``leaf.level < C.level - 1``; then the leaf is
-    split.  Returns the updated leaf set and whether anything changed.
+    split.  Returns the updated leaf set and the leaves this call
+    created (empty if nothing changed).
     """
-    changed = False
+    old = leaves
     # Constraints of level <= 1 can never force a refinement.
     keep = constraints.level > 1
     constraints = constraints[keep]
@@ -234,8 +285,12 @@ def _enforce_constraints(leaves: Octants, constraints: Octants) -> Tuple[Octants
         # parents) and disjoint from ``rest``, so a linear merge replaces
         # the former full re-sort of the leaf array.
         leaves = merge_sorted_octants(rest, split) if len(rest) else split
-        changed = True
-    return leaves, changed
+    if leaves is old:
+        return leaves, Octants.empty(leaves.dim)
+    # Each leaf descends from the old leaf preceding it on the SFC; the
+    # new ones are those strictly deeper than it.
+    pos = searchsorted_octants(old, leaves, side="right")
+    return leaves, leaves[leaves.level > old.level[pos - 1]]
 
 
 def route_to_owners(forest: Forest, regions: Octants) -> Octants:
@@ -293,16 +348,13 @@ def balance(forest: Forest, codim: Optional[int] = None) -> int:
         raise ValueError(f"codim must be in [1, {dim}]")
     comm = forest.comm
     rounds = 0
+    seeds = forest.local
     while True:
         rounds += 1
-        regions = generate_neighbor_regions(
-            forest.conn, forest.local, codim, min_level=2
-        )
-        regions = dedup_octants(regions)
+        regions = dedup_octants(_constraint_regions(forest.conn, seeds, codim))
         constraints = route_to_owners(forest, regions)
-        new_local, changed = _enforce_constraints(forest.local, constraints)
-        forest.local = new_local
-        if not comm.allreduce(changed, LOR):
+        forest.local, seeds = _enforce_constraints(forest.local, constraints)
+        if not comm.allreduce(bool(len(seeds)), LOR):
             break
     forest._refresh_counts()
     return rounds

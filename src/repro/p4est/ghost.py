@@ -21,7 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.p4est.balance import generate_neighbor_regions, split_by_dest
+from repro.p4est.balance import (
+    generate_neighbor_regions,
+    route_exterior_indexed,
+    split_by_dest,
+)
 from repro.p4est.forest import Forest, octants_from_wire, octants_to_wire
 from repro.parallel.collectives import collective
 from repro.p4est.octant import Octants, neighborhood
@@ -119,7 +123,7 @@ def build_ghost(
         outside = ~inside
         if outside.any():
             regions_per_leaf.extend(
-                _route_exterior_indexed(forest, nb[outside], src_all[outside])
+                route_exterior_indexed(forest.conn, nb[outside], src_all[outside])
             )
 
     # Resolve the owner rank range of every region and flatten into
@@ -279,16 +283,3 @@ def _build_ghost_multilayer(forest: Forest, codim: int, layers: int) -> GhostLay
         else np.empty(0, dtype=np.int64)
     )
     return GhostLayer(g_octs, g_owner, mirrors, mirror_map, ghost_map)
-
-
-def _route_exterior_indexed(
-    forest: Forest, ext: Octants, src_idx: np.ndarray
-) -> List[Tuple[np.ndarray, Octants]]:
-    """Like balance's exterior routing, but keeps source-leaf indices.
-
-    ``forest`` only needs a ``conn`` attribute (the nodes module passes a
-    minimal duck-typed carrier).
-    """
-    from repro.p4est.balance import route_exterior_indexed
-
-    return route_exterior_indexed(forest.conn, ext, src_idx)

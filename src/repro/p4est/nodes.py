@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.p4est.balance import corner_index, edge_index
+from repro.p4est.balance import corner_index, edge_index, route_exterior_indexed
 from repro.p4est.connectivity import (
     EDGE_CORNERS,
     Connectivity,
@@ -225,7 +225,7 @@ def _batch_region_config(
             tags.append(d * nelem + idx_in)
         idx_out = np.flatnonzero(~inside)
         if len(idx_out):
-            for gidx, regs in _images_of_regions(conn, nb[idx_out], idx_out):
+            for gidx, regs in route_exterior_indexed(conn, nb[idx_out], idx_out):
                 parts.append(regs)
                 tags.append(d * nelem + gidx)
     cfg = np.full(ndir * nelem, BOUNDARY, dtype=np.int8)
@@ -233,21 +233,6 @@ def _batch_region_config(
         got = _classify_regions(combined, Octants.concat(parts), None)
         np.maximum.at(cfg, np.concatenate(tags), got)
     return cfg.reshape(ndir, nelem)
-
-
-def _images_of_regions(
-    conn: Connectivity, ext: Octants, src_idx: np.ndarray
-) -> List[Tuple[np.ndarray, Octants]]:
-    """Route exterior neighbor regions through the macro links, keeping
-    the source-element indices (shared with ghost construction)."""
-    from repro.p4est.ghost import _route_exterior_indexed
-
-    class _F:  # minimal duck-typed carrier for the helper
-        pass
-
-    f = _F()
-    f.conn = conn
-    return _route_exterior_indexed(f, ext, src_idx)
 
 
 @traced(PHASE_NODES)
