@@ -187,13 +187,33 @@ def test_key_cache_survives_selection(dim):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_unique_rows_matches_np_unique(seed):
+    """Nodes' key domain: trees and coordinates in ``[0, base)``, 3D and 2D.
+
+    Each coordinate draws from a few values at both ends of its range, so
+    rows collide often and the packed columns are exercised at their
+    extremes.  The 2D base is degree 6 on the 2D lattice, where a
+    ``ky*base`` column would overflow int64.
+    """
     rng = np.random.default_rng(seed)
-    arr = rng.integers(-5, 5, size=(400, 4)).astype(np.int64)
-    got_u, got_inv = _unique_rows(arr)
-    want_u, want_inv = np.unique(arr, axis=0, return_inverse=True)
-    assert np.array_equal(got_u, want_u)
-    assert np.array_equal(got_inv, want_inv.reshape(-1))
-    assert np.array_equal(got_u[got_inv], arr)
+    for dim, degree in ((3, 3), (2, 6)):
+        base = degree * dimension(dim).root_len + 1
+        vals = np.array([0, 1, 2, base // 2, base - 2, base - 1], dtype=np.int64)
+        arr = vals[rng.integers(0, len(vals), size=(400, 4))]
+        arr[:, 0] = rng.integers(0, 6, size=400)
+        if dim == 2:
+            arr[:, 3] = 0
+        got_u, got_inv = _unique_rows(arr, base)
+        want_u, want_inv = np.unique(arr, axis=0, return_inverse=True)
+        assert np.array_equal(got_u, want_u)
+        assert np.array_equal(got_inv, want_inv.reshape(-1))
+        assert np.array_equal(got_u[got_inv], arr)
+
+
+def test_unique_rows_rejects_a_base_that_overflows():
+    base = 1 << 32  # base**2 = 2**64 does not fit in int64
+    arr = np.array([[0, 1, 2, 3], [0, 1, 2, 3]], dtype=np.int64)
+    with pytest.raises(ValueError):
+        _unique_rows(arr, base)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
