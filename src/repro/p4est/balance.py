@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.p4est.bits import group_order
 from repro.p4est.connectivity import Connectivity
 from repro.p4est.forest import Forest, octants_from_wire, octants_to_wire
 from repro.parallel.collectives import collective
@@ -64,6 +65,7 @@ def edge_index(axis: int, sides: Dict[int, int]) -> int:
 
 
 def corner_index(dim: int, sides: Dict[int, int]) -> int:
+    """Corner number from its side bit on every axis (z-order)."""
     c = 0
     for a in range(dim):
         c |= sides[a] << a
@@ -148,8 +150,8 @@ def route_exterior_indexed(
     Octants outside exactly one axis go through the face transform;
     outside two axes through the edge links (3D) or corner links (2D);
     outside three axes through the corner links.  The octants are grouped
-    by (tree, boundary pattern) with one stable sort and sliced into
-    contiguous views — per-group boolean scans of the whole array were a
+    by (tree, boundary pattern) with one :func:`group_order` and sliced
+    into contiguous views — per-group boolean scans of the whole array were a
     leading cost of Balance and Ghost before the flat-array refactor.
     """
     if not len(ext):
@@ -164,7 +166,7 @@ def route_exterior_indexed(
         higha = coords[a] >= L
         patt += (lowa * 1 + higha * 2) * (3**a)
     combined = ext.tree.astype(np.int64) * (3**dim) + patt
-    order = np.argsort(combined, kind="stable")
+    order = group_order(combined)
     ext_s = ext[order]
     idx_s = src_idx[order]
     codes_s = combined[order]
@@ -217,12 +219,12 @@ def dedup_octants(octs: Octants) -> Octants:
         return octs
     if octs.is_sorted():  # e.g. one already-sorted inbox part
         return octs.dedup()
-    # Quicksort the keys, then stable-sort by tree: same (tree, key) order
-    # as ``sort_order()`` but ~2x faster than lexsort's all-stable passes.
+    # Quicksort the keys, then group by tree: same (tree, key) order as
+    # ``sort_order()`` but ~2x faster than lexsort's all-stable passes.
     # Tie order among equal keys is unobservable here — a (tree, key)
     # pair fully determines the octant, and duplicates are removed below.
     a = np.argsort(octs.keys())
-    b = np.argsort(octs.tree[a], kind="stable")
+    b = group_order(octs.tree[a])
     order = a[b]
     t = octs.tree[order]
     k = octs.keys()[order]
@@ -299,18 +301,30 @@ def route_to_owners(forest: Forest, regions: Octants) -> Octants:
 
     Every region is sent to each rank in its inclusive owner range, which
     by the SFC ownership argument covers every rank holding a leaf that
-    intersects the region.  One sparse exchange total.
+    intersects the region.  The calling rank's own share stays octants
+    and never goes through the wire; the other ranks' shares go in one
+    sparse exchange, made on every rank (empty on a lone one).
     """
     comm = forest.comm
     outbox: Dict[int, np.ndarray] = {}
-    if len(regions):
+    received: List[Octants] = []
+    if comm.size == 1:
+        # A lone rank owns every region.
+        received.append(regions)
+    elif len(regions):
         dests, src = forest.owner_segments(regions)
         for p, idxs in split_by_dest(dests, src, len(regions)):
-            outbox[p] = octants_to_wire(regions[idxs])
+            if p == comm.rank:
+                received.append(regions[idxs])
+            else:
+                outbox[p] = octants_to_wire(regions[idxs])
     inbox = comm.exchange(outbox)
-    received = [octants_from_wire(forest.dim, w) for w in inbox.values() if len(w)]
+    received += [octants_from_wire(forest.dim, w) for w in inbox.values()]
+    received = [part for part in received if len(part)]
     if not received:
         return Octants.empty(forest.dim)
+    if len(received) == 1:  # keeps the part's cached keys
+        return dedup_octants(received[0])
     return dedup_octants(Octants.concat(received))
 
 

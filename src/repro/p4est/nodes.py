@@ -44,6 +44,7 @@ of the scatter/gather maps used by the cG solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -259,104 +260,50 @@ def lnodes(forest: Forest, ghost: GhostLayer, degree: int) -> LNodes:
 
     # --- Hanging classification -------------------------------------------------
     h = elems.lens()
-    hanging_face = np.full((nelem, nfaces), -1, dtype=np.int8)
     cid = elems.child_ids().astype(np.int64)
+    bit = [(cid >> a) & 1 for a in range(dim)]
     face_hang, edge_hang = _hanging_flags(conn, combined, elems)
-
+    hanging_face = np.full((nelem, nfaces), -1, dtype=np.int8)
     for f in range(nfaces):
-        hang = face_hang[:, f]
-        if hang.any():
-            # Child position within the parent face: child-id bits on the
-            # tangential axes.
-            tang = face_tangential_axes(dim, f)
-            pos = np.zeros(nelem, dtype=np.int64)
-            for kk, a in enumerate(tang):
-                pos |= ((cid >> a) & 1) << kk
-            hanging_face[hang, f] = pos[hang]
-
+        # Child position within the parent face: child-id bits on the
+        # tangential axes.
+        pos = sum(bit[a] << k for k, a in enumerate(face_tangential_axes(dim, f)))
+        hanging_face[face_hang[:, f], f] = pos[face_hang[:, f]]
     hanging_edge = None
     if dim == 3:
         hanging_edge = np.full((nelem, 12), -1, dtype=np.int8)
         for e in range(12):
-            axis = edge_axis(e)
             # An edge adjacent to a hanging face hangs with it.
             fa, fb = _edge_adjacent_faces(e)
-            hang = edge_hang[:, e] | face_hang[:, fa] | face_hang[:, fb]
-            if hang.any():
-                pos = (cid >> axis) & 1
-                hanging_edge[hang, e] = pos[hang]
+            edge_hang[:, e] |= face_hang[:, fa] | face_hang[:, fb]
+            hanging_edge[edge_hang[:, e], e] = bit[edge_axis(e)][edge_hang[:, e]]
 
-    # --- Raw slot keys -----------------------------------------------------------
-    # Per-axis parent-grid flags per slot, from the hanging entities the
-    # slot lies on.
-    x_cols = [elems.x, elems.y, elems.z]
-    parent_x = [c & ~(2 * h - 1) for c in x_cols]
+    # --- Slot keys -----------------------------------------------------------------
+    # A slot takes the parent-grid coordinate on every axis covered by a
+    # hanging entity it lies on: one product of the hanging flags with the
+    # slot-incidence table.
+    index, table = _slot_table(dim, N)
+    flags = np.hstack([face_hang, edge_hang[:, : D.num_edges]]).astype(np.float32)
+    parent = ((flags @ table) > 0).reshape(nelem, nslots, dim)
+    keys = np.zeros((nelem, nslots, 4), dtype=np.int64)
+    keys[:, :, 0] = elems.tree[:, None]
+    for a, x in enumerate((elems.x, elems.y, elems.z)[:dim]):
+        own = N * x[:, None] + index[:, a] * h[:, None]
+        par = N * (x & ~(2 * h - 1))[:, None] + index[:, a] * (2 * h)[:, None]
+        keys[:, :, 1 + a] = np.where(parent[:, :, a], par, own)
 
-    keys_raw = np.empty((nelem, nslots, 3), dtype=np.int64)
-    slot_idx = np.empty((nslots, 3), dtype=np.int64)
-    for s in range(nslots):
-        t = s
-        for a in range(3):
-            if a < dim:
-                slot_idx[s, a] = t % (N + 1)
-                t //= N + 1
-            else:
-                slot_idx[s, a] = 0
-
-    for s in range(nslots):
-        iv = slot_idx[s]
-        parent_axes = np.zeros((nelem, 3), dtype=bool)
-        for f in range(nfaces):
-            axis, side = face_axis_side(f)
-            on_face = iv[axis] == (0 if side == 0 else N)
-            if not on_face:
-                continue
-            is_hang = hanging_face[:, f] >= 0
-            if not is_hang.any():
-                continue
-            for a in face_tangential_axes(dim, f):
-                parent_axes[is_hang, a] = True
-        if dim == 3:
-            for e in range(12):
-                axis = edge_axis(e)
-                on_edge = all(
-                    iv[a] == (0 if sd == 0 else N)
-                    for a, sd in edge_transverse_sides(e).items()
-                )
-                if not on_edge:
-                    continue
-                is_hang = hanging_edge[:, e] >= 0
-                if is_hang.any():
-                    parent_axes[is_hang, axis] = True
-        for a in range(3):
-            if a >= dim:
-                keys_raw[:, s, a] = 0
-                continue
-            own = N * x_cols[a] + iv[a] * h
-            par = N * parent_x[a] + iv[a] * 2 * h
-            keys_raw[:, s, a] = np.where(parent_axes[:, a], par, own)
-
-    tree_col = np.repeat(elems.tree.astype(np.int64), nslots)
-    flat = keys_raw.reshape(-1, 3)
-    all_keys = np.column_stack([tree_col, flat])  # (M, 4)
-
-    # --- Canonicalization across trees ---------------------------------------------
-    all_keys = _canonicalize_keys(conn, all_keys, N)
-
-    # --- Unique local nodes ------------------------------------------------------------
-    uniq, inverse = _unique_rows(all_keys, N * L + 1)
-    element_nodes = inverse.reshape(nelem, nslots).astype(np.int64)
+    # --- Unique local nodes ----------------------------------------------------------
+    # Dedup the in-tree keys, canonicalize only the distinct ones, dedup
+    # again and compose the inverses: a key's canonical image depends only
+    # on the key.
+    raw, raw_inverse = _unique_rows(keys.reshape(-1, 4))
+    uniq, inverse = _unique_rows(_canonicalize_keys(conn, raw, N))
+    element_nodes = inverse[raw_inverse].reshape(nelem, nslots)
     nloc = len(uniq)
 
     # --- Ownership ------------------------------------------------------------------
-    probe = np.empty((nloc, 3), dtype=np.int64)
-    for a in range(3):
-        if a < dim:
-            probe[:, a] = np.minimum(uniq[:, 1 + a] // N, L - 1)
-        else:
-            probe[:, a] = 0
-    probe_m = interleave(dim, probe[:, 0], probe[:, 1], probe[:, 2])
-    owner = forest.markers.owner_of_points(uniq[:, 0], probe_m)
+    probe = [np.minimum(uniq[:, 1 + a] // N, L - 1) for a in range(dim)]
+    owner = forest.markers.owner_of_points(uniq[:, 0], interleave(dim, *probe))
 
     mine = comm.rank
     owned_mask = owner == mine
@@ -416,6 +363,40 @@ def lnodes(forest: Forest, ghost: GhostLayer, degree: int) -> LNodes:
     return result
 
 
+@lru_cache(maxsize=None)
+def _slot_table(dim: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-slot tensor indices and the slot-incidence table of one
+    ``(dim, degree)``.
+
+    ``index`` is ``(nslots, dim)``, slots lexicographic with x fastest.
+    ``table`` is a float32 0/1 matrix of shape ``(2*dim + 12, nslots*dim)``
+    (the 12 edge rows in 3D only): row ``f`` marks the tangential axes of
+    face ``f`` at every slot on that face, row ``2*dim + e`` the axis of
+    edge ``e`` at every slot on that edge.  An element's face and edge
+    hanging flags times the table is nonzero exactly at the (slot, axis)
+    pairs that take the parent-grid coordinate.
+    """
+    nslots = (N + 1) ** dim
+    index = np.array(list(np.ndindex(*(N + 1,) * dim)))[:, ::-1]
+    nfaces = 2 * dim
+    table = np.zeros((nfaces + (12 if dim == 3 else 0), nslots, dim), dtype=np.float32)
+    for f in range(nfaces):
+        axis, side = face_axis_side(f)
+        on_face = index[:, axis] == side * N
+        for a in face_tangential_axes(dim, f):
+            table[f, on_face, a] = 1
+    for e in range(12 if dim == 3 else 0):
+        on_edge = np.logical_and.reduce(
+            [index[:, a] == side * N for a, side in edge_transverse_sides(e).items()]
+        )
+        table[nfaces + e, on_edge, edge_axis(e)] = 1
+    index = np.ascontiguousarray(index)
+    table = table.reshape(len(table), nslots * dim)
+    index.flags.writeable = False
+    table.flags.writeable = False
+    return index, table
+
+
 def _edge_adjacent_faces(e: int) -> Tuple[int, int]:
     """The two faces of an octant containing edge ``e``."""
     sides = edge_transverse_sides(e)
@@ -423,36 +404,39 @@ def _edge_adjacent_faces(e: int) -> Tuple[int, int]:
     return faces  # type: ignore[return-value]
 
 
-def _unique_rows(arr: np.ndarray, base: int) -> Tuple[np.ndarray, np.ndarray]:
+def _unique_rows(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``np.unique(arr, axis=0, return_inverse=True)`` for node keys.
 
     Identical output (rows sorted in numeric lexicographic order, the
-    order the global numbering depends on) for ``(tree, kx, ky, kz)``
-    rows with every coordinate in ``[0, base)``.  The rows are packed
-    into two int64 columns that keep that order, ``tree*base + kx`` and
-    ``ky*base + kz`` (``ky`` alone when ``kz`` is all zero, as in 2D,
-    where ``ky*base`` may not fit), and sorted with one two-key
-    ``lexsort``.  Raises ``ValueError`` if a packed column can overflow.
+    order the global numbering depends on) for non-negative
+    ``(tree, kx, ky, kz)`` rows.  Node keys are multiples of a common
+    power of two (the finest element's side), and divided by it the
+    coordinates are small: packed with the tree as bit fields of one
+    int64 word, whose numeric order is the rows' order, they are sorted
+    by one quicksort of the words.  Rows whose word would not fit in 63
+    bits take ``np.unique``.
     """
     n = len(arr)
     if n == 0:
         return arr.copy(), np.empty(0, dtype=np.int64)
-    top = np.iinfo(np.int64).max
-    flat = not arr[:, 3].any()
-    if (int(arr[:, 0].max()) + 1) * base > top or (not flat and base * base > top):
-        raise ValueError(f"node keys with base {base} do not pack into int64")
-    hi = arr[:, 0] * base + arr[:, 1]
-    lo = arr[:, 2] if flat else arr[:, 2] * base + arr[:, 3]
-    order = np.lexsort((lo, hi))
-    srt = arr[order]
-    hi, lo = hi[order], lo[order]
+    common = int(np.bitwise_or.reduce(arr[:, 1:], axis=None))
+    shift = (common & -common).bit_length() - 1 if common else 0
+    bits = (int(arr[:, 1:].max()) >> shift).bit_length()
+    if int(arr[:, 0].max()).bit_length() + 3 * bits > 63:
+        uniq, inverse = np.unique(arr, axis=0, return_inverse=True)
+        return uniq, inverse.reshape(-1)
+    word = arr[:, 0].copy()
+    for c in (1, 2, 3):
+        word <<= bits
+        word |= arr[:, c] >> shift
+    order = np.argsort(word)
+    word = word[order]
     first = np.empty(n, dtype=bool)
     first[0] = True
-    np.not_equal(hi[1:], hi[:-1], out=first[1:])
-    first[1:] |= lo[1:] != lo[:-1]
+    np.not_equal(word[1:], word[:-1], out=first[1:])
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
-    return srt[first], inverse
+    return arr[order[first]], inverse
 
 
 def _lookup_keys(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -7,6 +7,12 @@ below is the loop it replaced: every leaf, every direction, every round.
 Both run on the same generated forest and partition, with marks that are
 a function of the octant, so after every round the leaves on each rank
 (hence the global leaf set) and the round count must agree.
+
+``route_to_owners`` keeps the calling rank's own share of the regions as
+octants and sends only the other ranks' shares.  ``reference_route``
+below is the routing it replaced, which sent every share through the
+wire, its own included; both must deliver the same regions and meter the
+same traffic.
 """
 
 import importlib
@@ -14,6 +20,7 @@ import threading
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +32,10 @@ from repro.p4est.balance import (
     is_balanced,
     route_exterior_indexed,
     route_to_owners,
+    split_by_dest,
 )
 from repro.p4est.builders import brick_2d, moebius, rotcubes, shell, unit_square
-from repro.p4est.forest import Forest, octants_to_wire
+from repro.p4est.forest import Forest, octants_from_wire, octants_to_wire
 from repro.p4est.octant import Octants, is_ancestor_pairwise
 from repro.p4est.validate import validate_forest
 from repro.parallel import SerialComm
@@ -68,6 +76,20 @@ def reference_balance(forest, codim):
             break
     forest._refresh_counts()
     return len(per_round), per_round
+
+
+def reference_route(forest, regions):
+    """Every share of ``regions`` packed and exchanged, the own included."""
+    outbox = {}
+    if len(regions):
+        dests, src = forest.owner_segments(regions)
+        for p, idxs in split_by_dest(dests, src, len(regions)):
+            outbox[p] = octants_to_wire(regions[idxs])
+    inbox = forest.comm.exchange(outbox)
+    received = [octants_from_wire(forest.dim, w) for w in inbox.values() if len(w)]
+    if not received:
+        return Octants.empty(forest.dim)
+    return dedup_octants(Octants.concat(received))
 
 
 def octant_marks(octs, seed, maxlevel):
@@ -169,3 +191,45 @@ def test_route_exterior_indexed_empty():
     for conn in (moebius(), rotcubes()):
         ext = Octants.empty(conn.dim)
         assert route_exterior_indexed(conn, ext, np.empty(0, dtype=np.int64)) == []
+
+
+def _op_stats(comm):
+    return {op: (s.calls, s.messages, s.bytes_sent) for op, s in comm.stats.ops.items()}
+
+
+def _delta(before, after):
+    return {
+        op: tuple(x - y for x, y in zip(v, before.get(op, (0, 0, 0))))
+        for op, v in after.items()
+        if v != before.get(op)
+    }
+
+
+@pytest.mark.parametrize("conn_name", sorted(CONNS))
+def test_route_to_owners_matches_full_wire(conn_name):
+    """Each rank receives the full-wire reference's regions, and the
+    exchange meters the same calls, messages and bytes."""
+    build, maxlevel = CONNS[conn_name]
+    conn = build()
+    serial = Forest.new(conn, SerialComm(), level=1)
+    serial.refine(callback=lambda o: octant_marks(o, 7, maxlevel), recursive=True)
+    leaves = serial.local
+    for size, empty in ((1, -1), (3, 1), (5, 4)):
+        cuts = _cuts(len(leaves), size, empty)
+
+        def prog(comm):
+            lo, hi = cuts[comm.rank]
+            forest = Forest(conn, comm, leaves[np.arange(lo, hi)].copy())
+            regions = generate_neighbor_regions(conn, forest.local, conn.dim)
+            regions = dedup_octants(regions)
+            before = _op_stats(comm)
+            got = route_to_owners(forest, regions)
+            mid = _op_stats(comm)
+            want = reference_route(forest, regions)
+            after = _op_stats(comm)
+            np.testing.assert_array_equal(octants_to_wire(got), octants_to_wire(want))
+            assert _delta(before, mid) == _delta(mid, after)
+            assert set(_delta(before, mid)) == {"exchange"}
+            return len(got)
+
+        assert sum(spmd(size, prog)) >= len(leaves)

@@ -1,18 +1,22 @@
 """Property tests for the flat Morton-key-array primitives.
 
 The vectorized key-space algebra (:func:`key_ancestor`,
-:func:`key_descendant_span`, :func:`seg_searchsorted`) and the batched
+:func:`key_descendant_span`, :func:`seg_searchsorted`, :func:`group_order`,
+:func:`dedup_octants`) and the batched
 octant operations (:func:`neighborhood`, :func:`merge_sorted_octants`,
 the lazy key cache, :func:`_unique_rows`) are pinned against scalar or
 pre-existing reference formulations over randomized octant populations
 at every level from 0 to ``maxlevel``, in both 2D and 3D.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.p4est.bits import (
     dimension,
+    group_order,
     interleave,
     key_ancestor,
     key_descendant_span,
@@ -22,6 +26,7 @@ from repro.p4est.bits import (
     seg_searchsorted,
     sfc_key,
 )
+from repro.p4est.balance import dedup_octants
 from repro.p4est.nodes import _unique_rows
 from repro.p4est.octant import (
     Octants,
@@ -185,14 +190,26 @@ def test_key_cache_survives_selection(dim):
     assert np.array_equal(cp.keys(), sfc_key(dim, cp.x, cp.y, cp.z, cp.level))
 
 
+def _assert_unique_rows(arr, packed=False):
+    if packed:  # the packed path never falls back to np.unique
+        with mock.patch.object(np, "unique", side_effect=AssertionError):
+            got_u, got_inv = _unique_rows(arr)
+    else:
+        got_u, got_inv = _unique_rows(arr)
+    want_u, want_inv = np.unique(arr, axis=0, return_inverse=True)
+    assert np.array_equal(got_u, want_u)
+    assert np.array_equal(got_inv, want_inv.reshape(-1))
+    assert np.array_equal(got_u[got_inv], arr)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_unique_rows_matches_np_unique(seed):
     """Nodes' key domain: trees and coordinates in ``[0, base)``, 3D and 2D.
 
     Each coordinate draws from a few values at both ends of its range, so
-    rows collide often and the packed columns are exercised at their
-    extremes.  The 2D base is degree 6 on the 2D lattice, where a
-    ``ky*base`` column would overflow int64.
+    rows collide often.  With odd values and ``base - 1`` of 21 (3D,
+    degree 3) or 32 bits (2D, degree 6), the rows cannot pack into one
+    word and take the ``np.unique`` path.
     """
     rng = np.random.default_rng(seed)
     for dim, degree in ((3, 3), (2, 6)):
@@ -202,18 +219,73 @@ def test_unique_rows_matches_np_unique(seed):
         arr[:, 0] = rng.integers(0, 6, size=400)
         if dim == 2:
             arr[:, 3] = 0
-        got_u, got_inv = _unique_rows(arr, base)
-        want_u, want_inv = np.unique(arr, axis=0, return_inverse=True)
-        assert np.array_equal(got_u, want_u)
-        assert np.array_equal(got_inv, want_inv.reshape(-1))
-        assert np.array_equal(got_u[got_inv], arr)
+        _assert_unique_rows(arr)
 
 
-def test_unique_rows_rejects_a_base_that_overflows():
-    base = 1 << 32  # base**2 = 2**64 does not fit in int64
-    arr = np.array([[0, 1, 2, 3], [0, 1, 2, 3]], dtype=np.int64)
-    with pytest.raises(ValueError):
-        _unique_rows(arr, base)
+@pytest.mark.parametrize("shift", [0, 7, 20])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_unique_rows_packed_word_at_its_63_bit_edge(seed, shift):
+    """Coordinates ``v << shift`` with ``v`` of 18 bits and trees of 9:
+    9 + 3*18 = 63 bits, the widest word the packed path takes.  One more
+    tree bit overflows the word and takes ``np.unique``; both agree with
+    it, on values at both ends of each field."""
+    rng = np.random.default_rng(seed)
+    top = (1 << 18) - 1
+    vals = np.array([0, 1, 2, top // 2, top - 1, top], dtype=np.int64) << shift
+    for tree_top in ((1 << 9) - 1, 1 << 9):
+        arr = vals[rng.integers(0, len(vals), size=(500, 4))]
+        arr[:, 0] = rng.choice([0, 1, tree_top - 1, tree_top], size=500)
+        _assert_unique_rows(arr, packed=tree_top < 1 << 9)
+        _assert_unique_rows(arr[:1], packed=arr[0, 0] < 1 << 9)
+
+
+def test_unique_rows_all_zero_coordinates():
+    arr = np.zeros((5, 4), dtype=np.int64)
+    arr[:, 0] = [3, 0, 3, 1, 0]
+    _assert_unique_rows(arr, packed=True)
+
+
+@pytest.mark.parametrize(
+    "trees",
+    [
+        np.arange(6),  # a forest's tree ids: the 16-bit copy
+        np.array([70_000, 70_000 + 0xFFFF]),  # range 0xFFFF: still 16 bits
+        np.array([0, 1, 0x10000]),  # range 0x10000: the int32 sort
+        np.array([0, 123_456, 2**31 - 1]),
+    ],
+    ids=["small", "range-0xffff", "range-0x10000", "wide"],
+)
+def test_grouping_on_both_sides_of_16_bits(trees):
+    """``group_order``, ``seg_searchsorted`` and ``dedup_octants`` against
+    scalar references, with tree ids whose range fits 16 bits and not."""
+    import bisect
+
+    rng = np.random.default_rng(int(trees[-1]) % 97)
+    ids = rng.choice(trees, size=700).astype(np.int32)
+    want_order = sorted(range(len(ids)), key=lambda i: ids[i])
+    assert np.array_equal(group_order(ids), want_order)
+    assert np.array_equal(group_order(ids.astype(np.int64)), want_order)
+
+    for side, fn in (("left", bisect.bisect_left), ("right", bisect.bisect_right)):
+        base = sorted(
+            (int(rng.choice(trees)), int(rng.integers(0, 50))) for _ in range(300)
+        )
+        queries = [(int(t), int(rng.integers(0, 50))) for t in ids]
+        got = seg_searchsorted(
+            np.array([t for t, _ in base], dtype=np.int32),
+            np.array([k for _, k in base], dtype=np.uint64),
+            ids,
+            np.array([k for _, k in queries], dtype=np.uint64),
+            side=side,
+        )
+        assert np.array_equal(got, [fn(base, q) for q in queries])
+
+    octs = random_octants(3, 700, 5, num_trees=1)
+    octs = Octants(3, ids, octs.x, octs.y, octs.z, octs.level)
+    octs = Octants.concat([octs, octs[::3]])  # duplicates
+    got = dedup_octants(octs)
+    want = sorted(set(zip(octs.tree.tolist(), octs.keys().tolist())))
+    assert list(zip(got.tree.tolist(), got.keys().tolist())) == want
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -1,4 +1,4 @@
-"""Nodes' hanging flags against the full 18-direction classification.
+"""Nodes' hanging flags and numbering against the formulations they replaced.
 
 ``lnodes`` asks a "strictly coarser leaf across?" question only for the
 outward face on each axis and, in 3D, the three edges outward on both
@@ -8,20 +8,32 @@ element, routed through the macro links, classified against the combined
 local + ghost leaves, then the rule that an edge adjacent to a hanging
 face hangs with it.  Both must flag the same faces and edges on every
 rank, and the numbering must not depend on the partition.
+
+``lnodes`` builds the slot keys from a slot-incidence table and
+canonicalizes only the distinct in-tree keys.  ``reference_numbering``
+below is what that replaced: a loop over the slots and the faces and
+edges each lies on, then every slot key canonicalized and deduplicated
+with ``np.unique``.  Both must give the same keys and element nodes.
 """
 
 from typing import List
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.p4est.balance import balance, route_exterior_indexed
-from repro.p4est.builders import unit_square
-from repro.p4est.connectivity import edge_transverse_sides, face_axis_side
+from repro.p4est.builders import unit_cube, unit_square
+from repro.p4est.connectivity import (
+    edge_axis,
+    edge_transverse_sides,
+    face_axis_side,
+    face_tangential_axes,
+)
 from repro.p4est.forest import Forest
 from repro.p4est.ghost import build_ghost
-from repro.p4est.nodes import _edge_adjacent_faces, lnodes
+from repro.p4est.nodes import _canonicalize_keys, _edge_adjacent_faces, lnodes
 from repro.p4est.octant import Octants, is_ancestor_pairwise, searchsorted_octants
 from repro.parallel import SerialComm
 from tests.p4est.test_balance_rounds import CONNS, _cuts, octant_marks
@@ -91,6 +103,36 @@ def reference_flags(conn, combined, elems):
     return faces, edges
 
 
+def reference_numbering(conn, elems, hanging_face, hanging_edge, N):
+    """Keys and element nodes from the per-slot loop, with every slot key
+    canonicalized before one ``np.unique``."""
+    dim = conn.dim
+    nelem = len(elems)
+    nslots = (N + 1) ** dim
+    h = elems.lens()
+    x_cols = [elems.x, elems.y, elems.z]
+    keys = np.zeros((nelem, nslots, 3), dtype=np.int64)
+    for s in range(nslots):
+        iv = [(s // (N + 1) ** a) % (N + 1) if a < dim else 0 for a in range(3)]
+        parent_axes = np.zeros((nelem, 3), dtype=bool)
+        for f in range(2 * dim):
+            axis, side = face_axis_side(f)
+            if iv[axis] == side * N:
+                for a in face_tangential_axes(dim, f):
+                    parent_axes[hanging_face[:, f] >= 0, a] = True
+        for e in range(12 if dim == 3 else 0):
+            sides = edge_transverse_sides(e).items()
+            if all(iv[a] == sd * N for a, sd in sides):
+                parent_axes[hanging_edge[:, e] >= 0, edge_axis(e)] = True
+        for a in range(dim):
+            own = N * x_cols[a] + iv[a] * h
+            par = N * (x_cols[a] & ~(2 * h - 1)) + iv[a] * 2 * h
+            keys[:, s, a] = np.where(parent_axes[:, a], par, own)
+    rows = np.column_stack([np.repeat(elems.tree.astype(np.int64), nslots), keys.reshape(-1, 3)])
+    uniq, inverse = np.unique(_canonicalize_keys(conn, rows, N), axis=0, return_inverse=True)
+    return uniq, inverse.reshape(nelem, nslots)
+
+
 def _key_set(keys: np.ndarray) -> set:
     return set(map(tuple, keys.tolist()))
 
@@ -143,3 +185,57 @@ def test_every_outward_region_beyond_an_unconnected_boundary():
     ln = lnodes(forest, build_ghost(forest), 2)
     assert (ln.hanging_face == -1).all()
     assert ln.global_num_nodes == 25
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("conn_name", sorted(CONNS))
+def test_numbering_matches_per_slot_reference(conn_name, degree):
+    """Table-built slot keys, deduplicated before canonicalization, give
+    the per-slot loop's keys and element nodes on every rank."""
+    build, maxlevel = CONNS[conn_name]
+    conn = build()
+    serial = Forest.new(conn, SerialComm(), level=1)
+    serial.refine(callback=lambda o: octant_marks(o, 7, maxlevel - 1), recursive=True)
+    balance(serial, codim=conn.dim)
+    leaves = serial.local
+    for size, empty in ((1, -1), (3, 0), (5, 2)):
+        cuts = _cuts(len(leaves), size, empty)
+
+        def prog(comm):
+            lo, hi = cuts[comm.rank]
+            forest = Forest(conn, comm, leaves[np.arange(lo, hi)].copy())
+            ln = lnodes(forest, build_ghost(forest), degree)
+            keys, nodes = reference_numbering(
+                conn, forest.local, ln.hanging_face, ln.hanging_edge, degree
+            )
+            np.testing.assert_array_equal(ln.keys, keys)
+            np.testing.assert_array_equal(ln.element_nodes, nodes)
+            return len(forest.local), int((ln.hanging_face >= 0).sum())
+
+        out = spmd(size, prog)
+        assert sum(n for n, _ in out) == len(leaves)
+        assert sum(hanging for _, hanging in out) > 0
+
+
+def test_edge_hangs_while_neither_adjacent_face_does():
+    """Level-1 children 0, 1 and 2 of a cube refined, child 3 not: the
+    level-2 element of child 0 at (1/4, 1/4) has same-size leaves across
+    its +x and +y faces and the coarse child 3 across its +x+y edge."""
+    forest = Forest.new(unit_cube(), SerialComm(), level=1)
+    forest.refine(mask=np.isin(forest.local.child_ids(), [0, 1, 2]))
+    balance(forest)
+    octs = forest.local
+    (i,) = np.flatnonzero(
+        (octs.level == 2) & (octs.x == octs.lens()) & (octs.y == octs.lens()) & (octs.z == 0)
+    )
+    e = 8 + 1 + 2  # along z, on the +x and +y sides
+    fa, fb = _edge_adjacent_faces(e)
+    for degree in (1, 2, 3):
+        ln = lnodes(forest, build_ghost(forest), degree)
+        assert ln.hanging_edge[i, e] >= 0
+        assert ln.hanging_face[i, fa] == ln.hanging_face[i, fb] == -1
+        keys, nodes = reference_numbering(
+            forest.conn, octs, ln.hanging_face, ln.hanging_edge, degree
+        )
+        np.testing.assert_array_equal(ln.keys, keys)
+        np.testing.assert_array_equal(ln.element_nodes, nodes)
