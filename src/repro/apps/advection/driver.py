@@ -144,15 +144,15 @@ class AdvectionRun:
         return self.mesh.coords[: self.mesh.nelem_local]
 
     def _rebuild(self) -> None:
+        # The outgoing binding's tables (a few per face node of the old
+        # mesh) are dead: let them go before the new mesh is built.
+        self.solver = self.space = None
         self.ghost = build_ghost(self.forest)
         self.mesh = build_mesh(
             self.forest, self.geometry, self.cfg.degree, self.ghost, previous=self.mesh
         )
         self.model = AdvectionModel(3, self.fronts.velocity())
         ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm)
-        # The outgoing binding's tables (a few per face node of the old
-        # mesh) are dead by now; let them go before the new ones are built.
-        self.solver = self.space = None
         self.solver = DGOperator(self.model, self.cfg.degree).bind(ctx)
         self.space = self.solver.space
         # The RK register lives as long as the mesh it is shaped for.

@@ -145,6 +145,7 @@ class SeismicRun:
             self.forest.refine(mask=mask, maxlevel=self.cfg.max_level)
 
     def _rebuild(self) -> None:
+        self.solver = self.space = None  # dead: free it before the next mesh
         self.ghost = build_ghost(self.forest)
         self.mesh = build_mesh(
             self.forest, self.geometry, self.cfg.degree, self.ghost, previous=self.mesh

@@ -133,7 +133,7 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
     whose transfer matrices are byte-equal join one batch, and so do
     all boundary batches.  Their lifted rows land in the lift buffer
     ``P["lb"]``, which the tail applies with one ``np.subtract.at`` at
-    the flat targets ``P["lt"]``.  For the bit-exact kinds
+    the flat int32 targets ``P["lt"]``.  For the bit-exact kinds
     (:func:`~repro.mangll.compiler.lower.merged_batch_envs`) that is the
     reference's accumulation order, whatever order the batches run in.
     The elastic kind (:func:`~repro.mangll.compiler.lower.elastic_batch_envs`)
@@ -177,6 +177,8 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
             fb.append(chunk)
 
     nf = solver.model.nfields
+    if nl * solver.space.mesh.npts * nf > 2**31:
+        raise ValueError(f"{nl} elements of {nf} fields: lift targets exceed int32")
     batch_envs = elastic_batch_envs if kind == "elastic" else merged_batch_envs
     envs, P["lt"] = batch_envs(solver, nf)
     for region, env in envs:

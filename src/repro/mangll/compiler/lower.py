@@ -797,36 +797,33 @@ def dg_batch_envs(solver) -> Iterator[Tuple[str, Dict[str, object]]]:
     conforming/fine/boundary mortars, negated plus-side geometry for
     coarse mortars.  Batch order is load-bearing — faces of one element
     share edge/corner nodes, so lifts must accumulate in this order.
+    Normals and surface Jacobians come from ``Mesh.face_normals``, each
+    face's held from the first batch that reads them to the last.
     """
     sp = solver.space
     m = sp.mesh
     dim, nq = sp.dim, sp.nq
-    for batch in sp.batches:
-        f = batch.fminus
-        fidx = face_node_indices(dim, nq, f)
-        region = KIND_REGION[batch.kind]
-        env: Dict[str, object] = {"fidx": fidx, "em": batch.eminus}
-        if batch.kind in (CONFORMING, FINE):
-            env["pidx"] = face_node_indices(dim, nq, batch.fplus)
-            env["ep"] = batch.eplus
-            env["n"] = solver._normals[f][batch.eminus]
-            env["sj"] = solver._sjac[f][batch.eminus]
-            env["xf"] = m.coords[batch.eminus][:, fidx]
+    # The face whose nodes each batch evaluates its flux at.
+    geo = [b.fplus if b.kind == COARSE else b.fminus for b in sp.batches]
+    last = {f: i for i, f in enumerate(geo)}
+    tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for i, (batch, f) in enumerate(zip(sp.batches, geo)):
+        normals, sjac = tables.pop(f, None) or m.face_normals(f)
+        if last[f] > i:
+            tables[f] = normals, sjac
+        coarse = batch.kind == COARSE
+        rows = batch.eplus if coarse else batch.eminus
+        env: Dict[str, object] = {
+            "fidx": face_node_indices(dim, nq, batch.fminus),
+            "em": batch.eminus,
+            "n": -normals[rows] if coarse else normals[rows],
+            "sj": sjac[rows],
+            "xf": m.coords[rows][:, face_node_indices(dim, nq, f)],
+        }
+        if batch.kind != BOUNDARY:
+            env.update(pidx=face_node_indices(dim, nq, batch.fplus), ep=batch.eplus)
             env["tr"] = batch.transfer
-        elif batch.kind == BOUNDARY:
-            env["n"] = solver._normals[f][batch.eminus]
-            env["sj"] = solver._sjac[f][batch.eminus]
-            env["xf"] = m.coords[batch.eminus][:, fidx]
-        else:  # COARSE
-            fp = batch.fplus
-            pidx = face_node_indices(dim, nq, fp)
-            env["pidx"] = pidx
-            env["ep"] = batch.eplus
-            env["n"] = -solver._normals[fp][batch.eplus]
-            env["sj"] = solver._sjac[fp][batch.eplus]
-            env["xf"] = m.coords[batch.eplus][:, pidx]
-            env["tr"] = batch.transfer
-        yield region, env
+        yield KIND_REGION[batch.kind], env
 
 
 def merged_batch_envs(
@@ -845,7 +842,7 @@ def merged_batch_envs(
     node`` (``gm`` my side, ``gp`` the partner's; stored node-major, as
     a transposed view of a C-ordered ``(nodes, rows)`` table) and their
     position ``pos`` among all face rows in ``space.batches`` order.
-    The lift targets are the flat entries of ``r`` those rows lift
+    The lift targets (int32) are the flat entries of ``r`` those rows lift
     into, in that order: the reference's accumulation order, which the
     tail's one ``np.subtract.at`` walks.
 
@@ -865,7 +862,7 @@ def merged_batch_envs(
         sizes[key] = sizes.get(key, 0) + rows
     groups: Dict[Tuple[str, bytes, int], Dict[str, np.ndarray]] = {key: {} for key in sizes}
     filled = dict.fromkeys(sizes, 0)
-    targets = np.empty((sum(sizes.values()), nfp, nfields), dtype=np.intp)
+    targets = np.empty((sum(sizes.values()), nfp, nfields), dtype=np.int32)
     start = 0
     for key, (_, env) in zip(keys, dg_batch_envs(solver)):
         part = {name: env[name] for name in ("n", "sj", "xf")}
@@ -980,7 +977,8 @@ def elastic_batch_envs(
         for name in ("pos", "pp"):
             if name in grp:
                 grp[name] = rank[grp[name]]
-    return envs, (tgt[order][..., None] * nfields + np.arange(nfields)).reshape(-1)
+    tgt = tgt[order].astype(np.int32)
+    return envs, (tgt[..., None] * nfields + np.arange(nfields, dtype=np.int32)).reshape(-1)
 
 
 def permutation_rows(tr: np.ndarray) -> Optional[np.ndarray]:

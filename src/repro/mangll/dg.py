@@ -17,16 +17,16 @@ Flux models implement:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.mangll.dgops import BOUNDARY, COARSE, CONFORMING, FINE, DGSpace
 from repro.mangll.mesh import face_node_indices
-from repro.mangll.quadrature import differentiation_matrix
+from repro.mangll.quadrature import differentiation_matrix, gauss_lobatto
 from repro.parallel.collectives import collective
 from repro.parallel.comm import Comm
-from repro.parallel.ops import MIN
+from repro.parallel.ops import MIN, SUM
 from repro.trace.tracer import PHASE_APPLY, traced
 
 
@@ -47,12 +47,10 @@ class DGSolver:
         self.nq = space.nq
         self._D = differentiation_matrix(self.nq)
         self._lift = space.lift_scale()  # (nelem_local, npts)
-        self._normals = {}
-        self._sjac = {}
-        for f in range(2 * self.dim):
-            n, sj = m.face_normals(f)
-            self._normals[f] = n
-            self._sjac[f] = sj
+        # Face normals and surface Jacobians over every element, filled by
+        # the first ``_faces`` call: a compiled binding never makes one.
+        self._normals: Dict[int, np.ndarray] = {}
+        self._sjac: Dict[int, np.ndarray] = {}
         self._wf = m.face_weights()
 
     # --- Volume term -----------------------------------------------------------
@@ -101,7 +99,9 @@ class DGSolver:
     def _faces(self, q_all: np.ndarray, t: float, r: np.ndarray) -> None:
         sp = self.space
         m = sp.mesh
-        nl = m.nelem_local
+        if not self._normals:
+            for f in range(2 * self.dim):
+                self._normals[f], self._sjac[f] = m.face_normals(f)
         for batch in sp.batches:
             f = batch.fminus
             fidx = face_node_indices(self.dim, self.nq, f)
@@ -164,8 +164,6 @@ class DGSolver:
             # conservatively vol^(1/dim) * min LGL gap.
             vols = m.element_volumes()[:nl]
             hchar = vols ** (1.0 / self.dim)
-            from repro.mangll.quadrature import gauss_lobatto
-
             xi, _ = gauss_lobatto(self.nq)
             gap = 0.5 * (xi[1] - xi[0])  # fraction of the element
             dts = hchar * gap / np.maximum(speed, 1e-30)
@@ -183,6 +181,4 @@ class DGSolver:
         if q_local.ndim == 2:
             q_local = q_local[..., None]
         local = np.einsum("ep,epf->f", wdet, q_local)
-        from repro.parallel.ops import SUM
-
         return np.asarray(self.comm.allreduce(local, SUM))

@@ -4,9 +4,9 @@
 tensor-product LGL nodes of every local *and ghost* element (ghost
 geometry is recomputable locally because the map is global and
 deterministic — no coordinates ever travel over the network), and derives
-the metric terms spectrally: Jacobians from the differentiation matrix
-applied to the coordinate fields, inverse metrics, volume and surface
-Jacobians, and outward face normals.
+the metric terms spectrally: ``dx/dxi`` from the differentiation matrix
+applied to the coordinate fields, then the inverse metric and volume
+Jacobian it keeps; face normals and surface Jacobians follow per face.
 
 Node ordering is lexicographic with x fastest, matching
 :mod:`repro.p4est.nodes`; face nodes are ordered by the tangential axes
@@ -62,7 +62,8 @@ class Mesh:
     """Geometry and metric data for local (+ghost) elements.
 
     Arrays are indexed by the combined element index: local elements
-    first (``0..nelem_local-1``), then ghosts.
+    first (``0..nelem_local-1``), then ghosts: ``npts * (pdim + dim**2 +
+    1)`` floats an element.  Face tables are derived on demand.
     """
 
     dim: int
@@ -71,7 +72,6 @@ class Mesh:
     nelem_ghost: int
     octants: Octants  # local then ghost, concatenated
     coords: np.ndarray  # (nelem_tot, npts, pdim)
-    jac: np.ndarray  # (nelem_tot, npts, pdim_eff, dim): dx/dxi
     jinv: np.ndarray  # (nelem_tot, npts, dim, dim): dxi/dx
     detj: np.ndarray  # (nelem_tot, npts)
     weights: np.ndarray  # tensor quadrature weights (npts,)
@@ -79,14 +79,17 @@ class Mesh:
 
     @property
     def nq(self) -> int:
+        """LGL nodes per element edge (``degree + 1``)."""
         return self.degree + 1
 
     @property
     def npts(self) -> int:
+        """Volume nodes per element (``nq ** dim``)."""
         return self.nq**self.dim
 
     @property
     def nelem_total(self) -> int:
+        """Local plus ghost elements: the row count of every array."""
         return self.nelem_local + self.nelem_ghost
 
     def face_normals(self, face: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,17 +171,17 @@ def build_mesh(
     kept, fresh = np.flatnonzero(src >= 0), np.flatnonzero(src < 0)
 
     coords = np.empty((nelem, npts, pdim))
-    jac = np.empty((nelem, npts, pdim, dim))
     jinv = np.empty((nelem, npts, dim, dim))
     det = np.empty((nelem, npts))
-    coords[fresh], jac[fresh], jinv[fresh], det[fresh] = _element_geometry(
+    coords[fresh], jinv[fresh], det[fresh] = _element_geometry(
         octs[fresh], geometry, degree
     )
-    if len(kept):
-        coords[kept], jac[kept] = previous.coords[src[kept]], previous.jac[src[kept]]
-        jinv[kept], det[kept] = previous.jinv[src[kept]], previous.detj[src[kept]]
+    if previous is not None:
+        rows = src[kept]
+        coords[kept], jinv[kept] = previous.coords[rows], previous.jinv[rows]
+        det[kept] = previous.detj[rows]
 
-    # Tensor quadrature weights on [-1,1]^dim, matching jac = dx/dxi with
+    # Tensor quadrature weights on [-1,1]^dim, matching dx/dxi with
     # xi in [-1,1] (D differentiates nodal values w.r.t. xi directly).
     _, w1 = gauss_lobatto(degree + 1)
     w = w1.copy()
@@ -192,7 +195,6 @@ def build_mesh(
         nelem_ghost=nelem - nelem_local,
         octants=octs,
         coords=coords,
-        jac=jac,
         jinv=jinv,
         detj=det,
         weights=w,
@@ -202,8 +204,8 @@ def build_mesh(
 
 def _element_geometry(
     octs: Octants, geometry: Geometry, degree: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(coords, jac, jinv, detj)`` of ``octs``: the map at the LGL nodes,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(coords, jinv, detj)`` of ``octs``: the map at the LGL nodes,
     one ``map_points`` call per tree, and its metric terms."""
     dim, nq = octs.dim, degree + 1
     npts = nq**dim
@@ -233,7 +235,7 @@ def _element_geometry(
         jinv = np.linalg.inv(jac)
     if np.any(det <= 0):
         raise ValueError("non-positive Jacobian determinant (inverted element)")
-    return coords, jac, jinv, det
+    return coords, jinv, det
 
 
 def _metric_terms(coords: np.ndarray, dim: int, nq: int, pdim: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 ``golden_bind.json`` was captured on the per-element ``build_mesh`` loop
 and the per-pair ``DGSpace._build`` (the commit before the flat face-pair
-enumeration landed).  Every rank hashes its five ``Mesh`` arrays and every
+enumeration landed).  Every rank hashes its four ``Mesh`` arrays and every
 ``MortarBatch`` *in order* — batch order is the kernel's accumulation
 order, so it is part of the contract, not an implementation detail.  The
 forests put hanging faces across rotated tree links (shell, rotcubes), on
@@ -95,7 +95,6 @@ def _pin(comm, name) -> dict:
         "kinds": sorted({int(b.kind) for b in space.batches}),
         "batches": m.hexdigest()[:16],
         "coords": _hash(mesh.coords),
-        "jac": _hash(mesh.jac),
         "jinv": _hash(mesh.jinv),
         "detj": _hash(mesh.detj),
         "weights": _hash(mesh.weights),

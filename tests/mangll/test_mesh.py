@@ -152,7 +152,7 @@ def test_moebius_geometry_maps_consistently():
 
 # --- build_mesh(previous=...) ------------------------------------------------
 
-MESH_ARRAYS = ("coords", "jac", "jinv", "detj", "weights")
+MESH_ARRAYS = ("coords", "jinv", "detj", "weights")
 
 # One per Geometry subclass, on a connectivity whose elements it maps with a
 # positive planar Jacobian.  The Moebius band's (x, y) projection is
