@@ -6,9 +6,9 @@ an execution backend fulfils to run ``P`` such programs concurrently:
 
 * :class:`MeteredComm` — the shared *collective frontend*.  Every
   collective's argument validation, :class:`~repro.parallel.stats.CommStats`
-  metering, and combine logic live here, implemented over two abstract
-  transport primitives (:meth:`MeteredComm._wait` and
-  :meth:`MeteredComm._collect`).  Because both the thread and the process
+  metering, and combine logic live here, implemented over three
+  transport primitives (:meth:`MeteredComm._wait`,
+  :meth:`MeteredComm._collect` and :meth:`MeteredComm._route`).  Because both the thread and the process
   backend reuse this frontend verbatim, message and byte accounting is
   byte-exact across backends *by construction*.
 * :class:`Backend` — one launch strategy.  ``run_attempt`` executes a
@@ -76,7 +76,9 @@ class MeteredComm(Comm):
 
     Subclasses provide the transport: :meth:`_wait` synchronizes all
     ranks once, :meth:`_collect` runs one two-phase collective (deposit a
-    contribution, combine the full slot list, read the result).  The
+    contribution, combine the full slot list, read the result), and
+    :meth:`_route` delivers personalized items (``exchange``,
+    ``alltoall``, ``scatter``) so each rank receives only its own.  The
     frontend performs all argument validation and meters every operation
     into :attr:`stats` with identical message/byte arithmetic regardless
     of transport, so :class:`~repro.parallel.stats.CommStats` compare
@@ -104,6 +106,16 @@ class MeteredComm(Comm):
     @abstractmethod
     def _collect(self, contribution: Any, combine: Callable[[List[Any]], Any]) -> Any:
         """Two-phase collective: deposit, combine the slot list, read."""
+
+    def _route(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
+        """Deliver ``outbox[d]`` to rank ``d``; return ``{src: item}`` for this rank.
+
+        The default is one :meth:`_collect` and a pick of this rank's item
+        from every outbox (free over the thread backend's shared slots);
+        the process backend routes, so a rank receives only its inbox.
+        """
+        boxes = self._collect(outbox, lambda slots: slots)
+        return {src: box[self.rank] for src, box in enumerate(boxes) if self.rank in box}
 
     # Internal machinery ---------------------------------------------------
 
@@ -161,9 +173,9 @@ class MeteredComm(Comm):
             self.stats.record("scatter", self.size - 1, sent)
         else:
             self.stats.record("scatter", 0, 0)
-        result = self._collect(objs if self.rank == root else None, lambda slots: slots[root])
+        inbox = self._route(dict(enumerate(objs)) if self.rank == root else {})
         self._end()
-        return result[self.rank]
+        return inbox[root]
 
     def allgather(self, obj: Any) -> List[Any]:
         """Gather one value per rank and return the full list on every rank."""
@@ -232,8 +244,8 @@ class MeteredComm(Comm):
             raise ValueError("alltoall requires one value per destination rank")
         sent = sum(payload_nbytes(o) for i, o in enumerate(objs) if i != self.rank)
         self.stats.record("alltoall", self.size - 1, sent)
-        result = self._collect(list(objs), lambda slots: slots)
-        received = [result[src][self.rank] for src in range(self.size)]
+        inbox = self._route(dict(enumerate(objs)))
+        received = [inbox[src] for src in range(self.size)]
         self._end()
         return received
 
@@ -246,12 +258,7 @@ class MeteredComm(Comm):
         nmsg = sum(1 for d in outbox if d != self.rank)
         nbytes = sum(payload_nbytes(v) for d, v in outbox.items() if d != self.rank)
         self.stats.record("exchange", nmsg, nbytes)
-        all_outboxes = self._collect(dict(outbox), lambda slots: slots)
-        inbox = {
-            src: all_outboxes[src][self.rank]
-            for src in range(self.size)
-            if self.rank in all_outboxes[src]
-        }
+        inbox = self._route(dict(outbox))
         self._end()
         return inbox
 
@@ -457,8 +464,7 @@ def get_backend(name: str, **options: Any) -> Backend:
     """Resolve a backend by registry name.
 
     ``options`` are forwarded to the backend constructor (the process
-    backend accepts ``start_method``, ``shm_threshold_bytes``, and
-    ``persistent``; the thread backend takes none).  Unknown names raise
+    backend accepts ``start_method`` and ``persistent``; the thread backend takes none).  Unknown names raise
     :class:`ValueError`.
     """
     if name == "thread":

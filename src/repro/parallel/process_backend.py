@@ -13,9 +13,12 @@ router loop for the attempt.  Collectives are *lock-step rounds*: every
 rank deposits its contribution (``put``), the router broadcasts the full
 slot list back once all ranks have arrived, and each rank combines
 locally (combines are pure, so local combination is deterministic and
-identical to the thread backend's leader-combine).  Large ndarray
-payloads travel through POSIX shared memory (:mod:`repro.parallel.shm`)
-instead of the pipe.
+identical to the thread backend's leader-combine).  Personalized
+collectives (``exchange``, ``alltoall``, ``scatter``) use a ``route``
+round instead: the router forwards to each rank only the items
+addressed to it.  Every ndarray payload travels through the sender's
+shared-memory arena (:mod:`repro.parallel.shm`); the pipe carries only
+descriptors, and each receiving rank copies out only what it receives.
 
 The observability stack crosses the process boundary by proxy: the
 sanitizer table, the hang watchdog, and the checkpoint store live in the
@@ -47,9 +50,10 @@ See ``docs/BACKENDS.md`` for the full protocol.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import selectors
 import time
-from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.parallel.backend import (
@@ -64,14 +68,7 @@ from repro.parallel.backend import (
 from repro.parallel.comm import Comm
 from repro.parallel.layers import LayerContext, find_layer, wrap_comm
 from repro.parallel.sanitizer import CallSignature, SanitizerState
-from repro.parallel.shm import (
-    detach,
-    iter_refs,
-    release,
-    unlink_by_name,
-    unwire_payload,
-    wire_payload,
-)
+from repro.parallel.shm import Arenas, arena_prefix, sweep
 from repro.parallel.stats import CommStats
 from repro.parallel.watchdog import HangError, WatchdogComm
 from repro.trace.tracer import current_phase_path
@@ -137,22 +134,22 @@ def _load_exc_chain(rank: int, entries: List[Tuple[str, Any]]) -> BaseException:
 
 
 class ProcessComm(MeteredComm):
-    """Worker-side communicator: lock-step pipe rounds + shared memory.
+    """Worker-side communicator: lock-step pipe rounds + shared-memory arenas.
 
-    One round = one ``put`` to the parent and one ``slots`` broadcast
-    back.  Shared-memory segments this rank creates are closed as soon as
-    the round is answered; *unlinking* them is the parent router's job
-    (it frees round ``k-1``'s segments when round ``k`` completes, and
-    sweeps the rest at the end of the attempt), so a rank that finishes
-    its program simply exits — it never contributes a phantom round that
+    One round = one message to the parent and one reply: a ``put``
+    answered by every rank's slot, or a ``route`` answered by this rank's
+    inbox alone.  ndarrays ride the worker process's
+    :class:`~repro.parallel.shm.Arenas`; this rank copies out only what
+    it receives.  The parent unlinks arenas, so a rank that finishes its
+    program simply exits — it never contributes a phantom round that
     could complete a collective its peers should be hanging in.
     """
 
-    def __init__(self, rank: int, size: int, conn: Any, shm_threshold: int) -> None:
-        """Bind ``rank`` to its parent pipe ``conn``."""
+    def __init__(self, rank: int, size: int, conn: Any, arenas: Arenas) -> None:
+        """Bind ``rank`` to its parent pipe ``conn`` and its worker's arenas."""
         super().__init__(rank, size)
         self._conn = conn
-        self._shm_threshold = shm_threshold
+        self._arenas = arenas
         self._round = 0
         self.saw_abort = False
 
@@ -197,21 +194,23 @@ class ProcessComm(MeteredComm):
         self._send(msg)
         return self._recv(expected)
 
-    def _round_trip(self, payload: Any) -> List[Any]:
-        """Run one lock-step round; returns the unwired slot list."""
-        msg = self._request(("put", self._round, payload), "slots")
+    def _round_trip(self, tag: str, payload: Any, reply: str) -> Any:
+        """Run one lock-step round; returns the (still wired) reply body."""
+        name, wired = self._arenas.wire(payload)
+        msg = self._request((tag, self._round, name, wired), reply)
         if msg[1] != self._round:
             raise RuntimeError(
                 f"rank {self.rank}: round skew (at {self._round}, router at {msg[1]})"
             )
         self._round += 1
-        return [unwire_payload(s) for s in msg[2]]
+        self._arenas.parity ^= 1  # the round completed: see repro.parallel.shm
+        return msg[2]
 
     # Transport primitives ---------------------------------------------------
 
     def _wait(self) -> int:
         """One synchronization round (no payload)."""
-        self._round_trip(None)
+        self._round_trip("put", None, "slots")
         return 0 if self.rank == 0 else 1
 
     def _collect(self, contribution: Any, combine: Callable[[List[Any]], Any]) -> Any:
@@ -220,16 +219,11 @@ class ProcessComm(MeteredComm):
         A combine failure surfaces exactly like the thread backend's
         leader-combine failure, naming this rank.
         """
-        created: List[Any] = []
-        wired = wire_payload(contribution, self._shm_threshold, created)
-        try:
-            slots = self._round_trip(wired)
-        except BaseException:
-            # The round never completed, so no peer holds the refs: the
-            # segments are ours alone and safe to unlink here.
-            release(created)
-            raise
-        detach(created)  # parent owns the unlink from here on
+        wired = self._round_trip("put", contribution, "slots")
+        slots = [
+            contribution if src == self.rank else self._arenas.unwire(name, payload)
+            for src, (name, payload) in enumerate(wired)
+        ]
         try:
             return combine(slots)
         except SpmdError:
@@ -239,6 +233,18 @@ class ProcessComm(MeteredComm):
                 f"collective combine failed on rank {self.rank}: {exc!r}",
                 failed_rank=self.rank,
             ) from exc
+
+    def _route(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
+        """Send each item to its destination; receive (and copy) only ours."""
+        sent = {dest: item for dest, item in outbox.items() if dest != self.rank}
+        wired = self._round_trip("route", sent, "inbox")
+        inbox = {
+            src: self._arenas.unwire(name, item) for src, (name, item) in wired.items()
+        }
+        if self.rank in outbox:
+            inbox[self.rank] = outbox[self.rank]
+        return dict(sorted(inbox.items()))
+
 
 class _SanitizerProxy:
     """Worker-side stand-in for the parent's :class:`SanitizerState`."""
@@ -318,7 +324,7 @@ def _run_job(
     conn: Any,
     rank: int,
     size: int,
-    shm_threshold: int,
+    arenas: Arenas,
     spawn_gen: int,
     spec: _JobSpec,
 ) -> bool:
@@ -344,7 +350,7 @@ def _run_job(
     fn, args, kwargs, layers, attempt, has_store, epoch, tracing = spec
     gen = spawn_gen
     while True:
-        comm = ProcessComm(rank, size, conn, shm_threshold)
+        comm = ProcessComm(rank, size, conn, arenas)
         watchdog = (
             _WatchdogProxy(comm)
             if find_layer(layers, "watchdog") is not None
@@ -414,7 +420,7 @@ def _worker_main(
     conn: Any,
     rank: int,
     size: int,
-    shm_threshold: int,
+    parent_pid: int,
     persistent: bool,
     spawn_gen: int,
     spec: _JobSpec,
@@ -432,11 +438,14 @@ def _worker_main(
     from.  A ``rollback`` that races with this worker's ``done`` (a peer
     died just as it finished) is honoured from the idle loop too: the
     worker acks the generation and re-enters its current program like
-    any survivor.
+    any survivor.  The worker's shared-memory arenas live as long as the
+    process; the parent unlinks them (by their ``parent_pid``-derived
+    names) once the worker is gone.
     """
+    arenas = Arenas(arena_prefix(parent_pid, os.getpid()))
     try:
         while True:
-            clean = _run_job(conn, rank, size, shm_threshold, spawn_gen, spec)
+            clean = _run_job(conn, rank, size, arenas, spawn_gen, spec)
             if not persistent:
                 return
             if not clean:
@@ -503,11 +512,6 @@ class _Router:
         self.aborted = False
         self.abort_at = 0.0
         self.open_rec: Dict[int, Any] = {}
-        # Shared-memory ownership: the router unlinks round k-1's segments
-        # when round k completes; leftovers are swept after the attempt.
-        self.prev_round_names: Set[str] = set()
-        self.cur_round_names: Set[str] = set()
-        self.conns: List[Any] = []
         self.alive: Dict[Any, int] = {}  # conn -> rank, removed on EOF
         # Warm-replacement state (active when request.max_replacements > 0).
         self.rollback_gen = 0  # how many in-place rollbacks this attempt took
@@ -518,14 +522,11 @@ class _Router:
         self.replacement_artifacts: List[str] = []
         self.replacement_failures: List[str] = []
         self.rollback_t0: Optional[float] = None
-        # Rounds in flight when a rollback struck: survivors may still be
-        # attaching, so these are only unlinked once every ack is in.
-        self.stale_round_names: Set[str] = set()
-        self.procs: List[Any] = []
-        self.proc_by_conn: Dict[Any, Any] = {}
+        self.proc_by_conn: Dict[Any, Any] = {}  # every pipe of the attempt
         self._ctx: Any = None
         self._epoch = 0.0
         self._spec: Optional[_JobSpec] = None
+        self._sel = selectors.DefaultSelector()  # the live pipes, for run()
 
     # Failure bookkeeping (mirrors _Shared.abort) ---------------------------
 
@@ -576,8 +577,8 @@ class _Router:
             return
         if rank in self.awaiting_ack:
             return  # pre-rollback traffic from a survivor; provably stale
-        if tag == "put":
-            self.on_put(rank, msg[1], msg[2])
+        if tag in ("put", "route"):
+            self.on_put(rank, msg)
         elif tag == "san":
             self.on_san(rank, conn, msg[1], msg[2])
         elif tag == "wd":
@@ -607,8 +608,14 @@ class _Router:
             )
             self.abort_all()
 
-    def on_put(self, rank: int, round_idx: int, payload: Any) -> None:
-        """Deposit one contribution; broadcast the round when complete."""
+    def on_put(self, rank: int, msg: Tuple[Any, ...]) -> None:
+        """Deposit one contribution; deliver the round when complete.
+
+        A ``put`` round broadcasts every ``(arena name, payload)`` slot to
+        every rank; a ``route`` round sends each rank only the outbox
+        items addressed to it, tagged with their sender's arena name.
+        """
+        tag, round_idx = msg[0], msg[1]
         if round_idx != self.round_idx:
             self.record_failure(
                 rank,
@@ -618,30 +625,31 @@ class _Router:
             )
             self.abort_all()
             return
-        for ref in iter_refs(payload):
-            self.cur_round_names.add(ref.name)
-        self.slots[rank] = payload
+        self.slots[rank] = msg
         self.contributed.add(rank)
         self.last_progress = time.perf_counter()
-        if len(self.contributed) == self.size:
-            blob = pickle.dumps(
-                ("slots", self.round_idx, self.slots), pickle.HIGHEST_PROTOCOL
+        if len(self.contributed) < self.size:
+            return
+        if any(slot[0] != tag for slot in self.slots):
+            self.record_failure(
+                rank, RuntimeError("collective mismatch: ranks mix put and route rounds")
             )
-            for conn in self.alive:
-                try:
-                    conn.send_bytes(blob)
-                except (OSError, BrokenPipeError):
-                    pass  # the dropped connection surfaces as EOF
-            # Every rank contributed to this round, so every rank has
-            # copied out of the previous round's segments: free them.
-            for name in self.prev_round_names:
-                unlink_by_name(name)
-            self.prev_round_names = self.cur_round_names
-            self.cur_round_names = set()
-            self.round_idx += 1
-            self.slots = [None] * self.size
-            self.contributed.clear()
-            self.last_progress = time.perf_counter()
+            self.abort_all()
+            return
+        body: Any = [(s[2], s[3]) for s in self.slots]
+        blob = pickle.dumps(("slots", self.round_idx, body), pickle.HIGHEST_PROTOCOL)
+        for conn, dest in self.alive.items():
+            if tag == "route":
+                body = {src: (s[2], s[3][dest]) for src, s in enumerate(self.slots) if dest in s[3]}
+                blob = pickle.dumps(("inbox", self.round_idx, body), pickle.HIGHEST_PROTOCOL)
+            try:
+                conn.send_bytes(blob)
+            except (OSError, BrokenPipeError):
+                pass  # the dropped connection surfaces as EOF
+        self.round_idx += 1
+        self.slots = [None] * self.size
+        self.contributed.clear()
+        self.last_progress = time.perf_counter()
 
     def on_san(self, rank: int, conn: Any, seq: int, sig: CallSignature) -> None:
         """Cross-validate one call signature against the shared table."""
@@ -700,9 +708,9 @@ class _Router:
         ``awaiting_ack`` (their in-flight traffic is stale); round,
         sanitizer, and watchdog state is reset for the new generation;
         ranks that already completed are respawned too (their processes
-        exited after ``done``).  The shared-memory names of the
-        interrupted rounds are parked until every ack is in — a survivor
-        may still be attaching to them.
+        exited after ``done``).  The arenas of the dropped workers stay
+        linked until every ack is in (:meth:`finish_rollback`) — a
+        survivor may still be copying out of them.
         """
         now = time.perf_counter()
         self.rollback_gen += 1
@@ -725,7 +733,7 @@ class _Router:
             if rank in respawn:
                 # Completed ranks' processes exited after "done"; drop the
                 # stale pipe so their EOF can never be misattributed.
-                del self.alive[conn]
+                self._drop(conn)
                 try:
                     conn.close()
                 except OSError:
@@ -735,15 +743,10 @@ class _Router:
                 conn.send(("rollback", self.rollback_gen))
                 self.awaiting_ack.add(rank)
             except (OSError, BrokenPipeError):
-                del self.alive[conn]
+                self._drop(conn)
                 self.awaiting_ack.discard(rank)
                 respawn.add(rank)  # also dead; fold into this rollback
                 self.replaced_ranks.append(rank)
-        # Park the interrupted rounds' segments; unlink once all acks are
-        # in (only then is no survivor still attaching by name).
-        self.stale_round_names |= self.prev_round_names | self.cur_round_names
-        self.prev_round_names = set()
-        self.cur_round_names = set()
         # Fresh generation: reset round, outcome, and observability state.
         self.round_idx = 0
         self.slots = [None] * self.size
@@ -778,10 +781,13 @@ class _Router:
             self.finish_rollback()
 
     def finish_rollback(self) -> None:
-        """All survivors acked: free parked segments, close the recovery clock."""
-        for name in self.stale_round_names:
-            unlink_by_name(name)
-        self.stale_round_names.clear()
+        """All survivors acked: sweep dropped workers' arenas, stop the clock.
+
+        Every survivor's ack follows its last copy-out (pipe order), so
+        no one reads a dropped worker's arenas any more.
+        """
+        dropped = [p for c, p in self.proc_by_conn.items() if c not in self.alive]
+        sweep([arena_prefix(os.getpid(), proc.pid) for proc in dropped])
         if self.rollback_t0 is not None:
             self.replacement_seconds += time.perf_counter() - self.rollback_t0
             self.rollback_t0 = None
@@ -864,7 +870,7 @@ class _Router:
                 child_conn,
                 rank,
                 self.size,
-                self.backend.shm_threshold_bytes,
+                os.getpid(),
                 self.backend.persistent,
                 self.rollback_gen,
                 self._spec,
@@ -874,10 +880,19 @@ class _Router:
         )
         proc.start()
         child_conn.close()
-        self.conns.append(parent_conn)
-        self.alive[parent_conn] = rank
-        self.procs.append(proc)
-        self.proc_by_conn[parent_conn] = proc
+        self._adopt(rank, parent_conn, proc)
+
+    def _adopt(self, rank: int, conn: Any, proc: Any) -> None:
+        """Route ``rank``'s traffic through ``conn`` (its worker is ``proc``)."""
+        self.alive[conn] = rank
+        self._sel.register(conn, selectors.EVENT_READ)
+        self.proc_by_conn[conn] = proc
+
+    def _drop(self, conn: Any) -> None:
+        """Stop listening to ``conn`` (EOF, rollback drop); call before closing."""
+        del self.alive[conn]
+        self._sel.unregister(conn)
+
 
     def _job_spec(self) -> _JobSpec:
         """Freeze this attempt's job for dispatch (spawn args or pipe)."""
@@ -922,10 +937,7 @@ class _Router:
                 self.backend._retire(entries)
                 return False
         for rank, conn, proc in entries:
-            self.conns.append(conn)
-            self.alive[conn] = rank
-            self.procs.append(proc)
-            self.proc_by_conn[conn] = proc
+            self._adopt(rank, conn, proc)
         return True
 
     def _pool_workers(self) -> Set[int]:
@@ -971,7 +983,7 @@ class _Router:
 
         grace = (self.timeout + 1.0) if self.timeout is not None else 5.0
         while self.alive and len(self.completed) < self.size:
-            ready = connection.wait(list(self.alive), timeout=0.05)
+            ready = [key.fileobj for key, _ in self._sel.select(timeout=0.05)]
             if not ready:
                 self.check_hang()
                 if self.aborted and time.perf_counter() - self.abort_at > grace:
@@ -984,7 +996,7 @@ class _Router:
                 try:
                     msg = conn.recv()
                 except (EOFError, OSError):
-                    del self.alive[conn]
+                    self._drop(conn)
                     self.on_death(rank)
                     continue
                 self.dispatch(rank, conn, msg)
@@ -993,6 +1005,7 @@ class _Router:
             ):
                 break  # every survivor is parked; no EOFs are coming
 
+        self._sel.close()
         pooled = self._pool_workers()
         if self.backend.persistent and not pooled:
             # Persistent workers idle in their job loop after an abort or
@@ -1002,42 +1015,26 @@ class _Router:
                     conn.send(("quit",))
                 except (OSError, BrokenPipeError):
                     pass
-            for conn in self.conns:
+            for conn in self.proc_by_conn:
                 try:
                     conn.close()
                 except OSError:
                     pass
-        deadline = time.perf_counter() + grace
-        for proc in self.procs:
-            if id(proc) in pooled:
-                continue
-            proc.join(max(0.0, deadline - time.perf_counter()))
-        for proc in self.procs:
-            if id(proc) in pooled:
-                continue
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(1.0)
+        # Every worker not parked in the pool is gone after this, and so
+        # are its arenas (including any it created after its last message).
+        _reap([p for p in self.proc_by_conn.values() if id(p) not in pooled], grace)
         wall_seconds = time.perf_counter() - t0
         if self.rollback_t0 is not None:
             # A rollback was still in flight when the attempt resolved.
             self.replacement_seconds += time.perf_counter() - self.rollback_t0
             self.rollback_t0 = None
-        for conn in self.conns:
+        for conn in self.proc_by_conn:
             if id(conn) in pooled:
                 continue
             try:
                 conn.close()
             except OSError:
                 pass
-        # Sweep the not-yet-freed rounds (the run's last round, any partial
-        # round a dead or aborted worker left behind, and rounds parked by
-        # an unfinished rollback).
-        for name in self.prev_round_names | self.cur_round_names | self.stale_round_names:
-            unlink_by_name(name)
 
         failed_rank = self.failed_rank
         artifact: Optional[str] = None
@@ -1068,6 +1065,19 @@ class _Router:
         )
 
 
+def _reap(procs: List[Any], grace: float) -> None:
+    """Join ``procs`` within ``grace`` seconds, kill stragglers, unlink their arenas."""
+    deadline = time.perf_counter() + grace
+    for proc in procs:
+        proc.join(max(0.0, deadline - time.perf_counter()))
+    for proc in procs:
+        for stop in (proc.terminate, proc.kill):
+            if proc.is_alive():
+                stop()
+                proc.join(1.0)
+    sweep([arena_prefix(os.getpid(), proc.pid) for proc in procs])
+
+
 #: One warm-pool member: ``(rank, parent_conn, process)``.
 _PoolEntry = Tuple[int, Any, Any]
 
@@ -1077,9 +1087,7 @@ class ProcessBackend(Backend):
 
     ``start_method`` selects the :mod:`multiprocessing` start method
     (``"spawn"`` is the portable default; ``"fork"`` launches much
-    faster where available).  ``shm_threshold_bytes`` is the payload
-    size at which ndarrays travel via shared memory instead of the pipe.
-    Rank programs and their arguments must be picklable (module-level
+    faster where available).  Rank programs and their arguments must be picklable (module-level
     functions; under ``fork`` this is not enforced by the OS but keeps
     runs portable across start methods).
 
@@ -1098,7 +1106,6 @@ class ProcessBackend(Backend):
     def __init__(
         self,
         start_method: str = "spawn",
-        shm_threshold_bytes: int = 1 << 16,
         persistent: bool = False,
     ) -> None:
         """Validate and record the backend options."""
@@ -1107,10 +1114,7 @@ class ProcessBackend(Backend):
                 f"start method {start_method!r} not available on this platform "
                 f"(have {multiprocessing.get_all_start_methods()})"
             )
-        if shm_threshold_bytes < 0:
-            raise ValueError("shm_threshold_bytes must be >= 0")
         self.start_method = start_method
-        self.shm_threshold_bytes = shm_threshold_bytes
         self.persistent = persistent
         self._pool: Optional[Tuple[int, List[_PoolEntry]]] = None
 
@@ -1140,7 +1144,7 @@ class ProcessBackend(Backend):
 
     @staticmethod
     def _retire(entries: List[_PoolEntry]) -> None:
-        """Quit, close, and reap one generation of pooled workers."""
+        """Quit, close, and reap one generation of pooled workers; unlink their arenas."""
         for _, conn, _ in entries:
             try:
                 conn.send(("quit",))
@@ -1151,14 +1155,7 @@ class ProcessBackend(Backend):
                 conn.close()
             except OSError:
                 pass
-        for _, _, proc in entries:
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(1.0)
+        _reap([proc for _, _, proc in entries], 1.0)
 
     def close(self) -> None:
         """Retire the warm pool (idempotent; no-op when not persistent)."""

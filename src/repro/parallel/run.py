@@ -203,12 +203,10 @@ class RunConfig:
         checkpoint without teardown) before falling back to the
         shrink/retry path.  0 (the default) disables warm replacement;
         the thread backend ignores it.  See ``docs/BACKENDS.md``.
-    ``start_method`` / ``shm_threshold_bytes``
-        Process-backend tuning: the :mod:`multiprocessing` start method
+    ``start_method``
+        Process backend only: the :mod:`multiprocessing` start method
         (``"spawn"`` is the portable default; ``"fork"`` is much faster
-        to launch where available) and the payload size at which
-        ndarrays travel via POSIX shared memory instead of pickled
-        pipe traffic.
+        to launch where available).
     ``warm_pool``
         Process backend only: keep the worker processes alive between
         runs of this machine and re-dispatch the next rank program to
@@ -236,7 +234,6 @@ class RunConfig:
     store: Optional[CheckpointStore] = None
     max_replacements: int = 0
     start_method: str = "spawn"
-    shm_threshold_bytes: int = 1 << 16
     warm_pool: bool = False
     attempt_offset: int = 0
 
@@ -262,8 +259,6 @@ class RunConfig:
             raise ValueError("min_size must be in [1, size]")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.shm_threshold_bytes < 0:
-            raise ValueError("shm_threshold_bytes must be >= 0")
         if self.attempt_offset < 0:
             raise ValueError("attempt_offset must be >= 0")
 
@@ -318,7 +313,6 @@ class Machine:
         if config.backend == "process":
             options = {
                 "start_method": config.start_method,
-                "shm_threshold_bytes": config.shm_threshold_bytes,
                 "persistent": config.warm_pool,
             }
         self._backend = get_backend(config.backend, **options)

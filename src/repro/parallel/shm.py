@@ -1,57 +1,59 @@
-"""Shared-memory transport for large ndarray payloads (process backend).
+"""Shared-memory arenas: the process backend's ndarray transport.
 
-Pickling a multi-megabyte element-data array through a pipe copies it
-twice per hop (serialize, deserialize) and once more per receiving rank
-on the broadcast back.  This module lets the process backend ship such
-payloads through POSIX shared memory instead: the sending worker copies
-the array into a :class:`multiprocessing.shared_memory.SharedMemory`
-segment and substitutes a tiny :class:`ShmRef` into the pickled message;
-receivers attach, copy out, and detach.  Only the reference crosses the
-pipe, so the pipe cost of an ``allgather``/``exchange`` payload is O(1)
-in the array size.
+Every worker owns two long-lived POSIX shared-memory *arenas*, one per
+round parity.  A contribution's buffer-kind ndarrays (bool, int, uint,
+float, complex; any size above zero, at any depth of dicts, lists and
+tuples) are copied into the arena of the round's parity and replaced by
+:class:`ShmRef` descriptors; the arena's name travels once per message.
+Only descriptors cross the pipe, and each byte a rank receives is copied
+once, by that rank (:meth:`Arenas.unwire`).
 
-Lifecycle (see :class:`~repro.parallel.process_backend.ProcessComm`):
-workers create segments and close their own handles as soon as the
-round's ``put`` is answered (:func:`detach`); every *unlink* belongs to
-the parent router, which frees round ``k-1``'s segments the moment round
-``k`` completes — by then every rank has provably copied out, because
-contributing to round ``k`` happens strictly after unwiring round
-``k-1`` — and sweeps whatever remains at the end of the attempt.  A
-crashed or SIGKILLed worker therefore never leaks its segments, and a
-completed worker can exit without waiting for peers to catch up.
+Why two arenas suffice: a rank writes round ``k+2`` over round ``k``
+only after round ``k+1`` completed, and every peer contributes to round
+``k+1`` strictly after copying out of round ``k``.  The parity flips on
+each *completed* round, so the rule survives an in-place rollback: a
+round cut short was never delivered, and the next write reuses its
+arena.  An arena grows geometrically (create the larger segment, unlink
+the smaller); readers keep one attachment per (owner, parity) and
+re-attach only when a growth changes the name.
 
-Resource-tracker discipline: segment ownership here is fully explicit
-(creator unlink + parent safety net), so all tracker traffic for these
-segments is suppressed (:func:`_untracked`).  The default tracking can't
-be used: Python 3.11 registers a name on *every* handle (attach
-included) into per-tracker-process set caches, so creator/attacher
-register–unregister pairs land on different trackers (or collapse in a
-shared set) and either spam ``KeyError`` or "leaked shared_memory"
-warnings, and a killed worker's tracker may unlink a segment peers are
-still copying.  The one leak the safety net cannot see — a worker killed
-between creating a segment and the router reading the ``put`` that names
-it — is bounded by one payload per rank.
+Names are derivable: ``repro-<parent pid>-<worker pid>-<parity>-<growth>``.
+The parent unlinks a worker's arenas by prefix (:func:`sweep`) when the
+worker dies or is replaced, when a warm pool retires, and when a
+non-persistent attempt ends — so a worker killed between growing its
+arena and sending the ``put`` that names it strands nothing.
+
+Resource-tracker traffic for these segments is suppressed
+(:func:`_untracked`): ownership is explicit, and Python 3.11 registers a
+name on *every* handle (attach included) into per-tracker caches, so
+register/unregister pairs land on different trackers, spam ``KeyError``
+or "leaked shared_memory" warnings, and a killed worker's tracker may
+unlink a segment its peers still read.
 """
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 #: dtype kinds that are plain fixed-size buffers (bool, int, uint, float,
 #: complex); object/str/void arrays keep going through pickle.
 _BUFFER_KINDS = "biufc"
+#: Arena offsets are aligned to a cache line.
+_ALIGN = 64
+#: Smallest arena ever created (bytes).
+_MIN_ARENA = 1 << 16
+_SHM_DIR = "/dev/shm"
 
 
-@dataclass(frozen=True)
-class ShmRef:
-    """A pickled stand-in for an ndarray parked in shared memory."""
+class ShmRef(NamedTuple):
+    """A pickled stand-in for an ndarray parked in its sender's arena."""
 
-    name: str
+    offset: int
     dtype: str
     shape: Tuple[int, ...]
 
@@ -81,124 +83,125 @@ def _untracked() -> Iterator[None]:
         resource_tracker.unregister = orig_unreg
 
 
-def _eligible(obj: Any, threshold: int) -> bool:
-    """Whether ``obj`` is an ndarray worth parking in shared memory."""
-    return (
-        isinstance(obj, np.ndarray)
-        and obj.dtype.kind in _BUFFER_KINDS
-        and obj.nbytes >= threshold
-    )
+def arena_prefix(parent_pid: int, worker_pid: int) -> str:
+    """The name prefix every arena of one worker process starts with."""
+    return f"repro-{parent_pid}-{worker_pid}-"
 
 
-def _export(arr: np.ndarray, created: List[shared_memory.SharedMemory]) -> ShmRef:
-    """Copy ``arr`` into a fresh segment; append the handle to ``created``."""
-    with _untracked():
-        shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-    view: np.ndarray = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[...] = arr
-    created.append(shm)
-    return ShmRef(shm.name, str(arr.dtype), tuple(arr.shape))
+def sweep(prefixes: List[str]) -> None:
+    """Unlink every segment whose name starts with one of ``prefixes``.
 
-
-def _import(ref: ShmRef) -> np.ndarray:
-    """Attach to ``ref``'s segment, copy the array out, and detach."""
-    with _untracked():
-        shm = shared_memory.SharedMemory(name=ref.name)
-    try:
-        return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf).copy()
-    finally:
-        shm.close()
-
-
-def wire_payload(
-    obj: Any, threshold: int, created: List[shared_memory.SharedMemory]
-) -> Any:
-    """Replace large ndarrays in ``obj`` with :class:`ShmRef` stand-ins.
-
-    Containers are rewritten one level deep (list/tuple elements, dict
-    values) — the payload shapes the collectives actually carry; anything
-    nested deeper travels by pickle unchanged.  Created segments are
-    appended to ``created`` for the caller's deferred unlink.
+    Lists ``/dev/shm`` where it exists (Linux), so segments the parent
+    never heard of go too; elsewhere it probes the derivable names.
     """
-    if _eligible(obj, threshold):
-        return _export(obj, created)
-    if isinstance(obj, list):
-        return [_export(v, created) if _eligible(v, threshold) else v for v in obj]
-    if isinstance(obj, tuple):
-        return tuple(
-            _export(v, created) if _eligible(v, threshold) else v for v in obj
-        )
-    if isinstance(obj, dict):
-        return {
-            k: _export(v, created) if _eligible(v, threshold) else v
-            for k, v in obj.items()
-        }
-    return obj
-
-
-def unwire_payload(obj: Any) -> Any:
-    """Resolve :class:`ShmRef` stand-ins in ``obj`` back into ndarrays."""
-    if isinstance(obj, ShmRef):
-        return _import(obj)
-    if isinstance(obj, list):
-        return [_import(v) if isinstance(v, ShmRef) else v for v in obj]
-    if isinstance(obj, tuple):
-        return tuple(_import(v) if isinstance(v, ShmRef) else v for v in obj)
-    if isinstance(obj, dict):
-        return {k: _import(v) if isinstance(v, ShmRef) else v for k, v in obj.items()}
-    return obj
-
-
-def iter_refs(obj: Any) -> Iterator[ShmRef]:
-    """Yield every :class:`ShmRef` in a wired payload (one level deep)."""
-    if isinstance(obj, ShmRef):
-        yield obj
-        return
-    if isinstance(obj, (list, tuple)):
-        for v in obj:
-            if isinstance(v, ShmRef):
-                yield v
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            if isinstance(v, ShmRef):
-                yield v
-
-
-def detach(segments: List[shared_memory.SharedMemory]) -> None:
-    """Close creator handles without unlinking (the parent owns the free)."""
-    for shm in segments:
-        try:
-            shm.close()
-        except OSError:
-            pass
-    segments.clear()
-
-
-def release(segments: List[shared_memory.SharedMemory]) -> None:
-    """Close and unlink creator-owned segments (idempotent, best-effort)."""
+    try:
+        names = [n for n in os.listdir(_SHM_DIR) if n.startswith(tuple(prefixes))]
+    except FileNotFoundError:
+        names = [f"{p}{par}-{g}" for p in prefixes for par in (0, 1) for g in range(1, 64)]
     with _untracked():
-        for shm in segments:
+        for name in names:
             try:
-                shm.close()
-            except OSError:
-                pass
-            try:
-                shm.unlink()
+                shared_memory.SharedMemory(name).unlink()
             except FileNotFoundError:
                 pass
-    segments.clear()
 
 
-def unlink_by_name(name: str) -> bool:
-    """Unlink a segment by name if it still exists (the parent safety net)."""
-    with _untracked():
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return False
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-    return True
+def _map(obj: Any, fn: Any) -> Any:
+    """``fn`` applied to every leaf of ``obj``'s dict/list/tuple nesting."""
+    kind = type(obj)
+    if kind is dict:
+        return {k: _map(v, fn) for k, v in obj.items()}
+    if kind is list:
+        return [_map(v, fn) for v in obj]
+    if kind is tuple:
+        return tuple(_map(v, fn) for v in obj)
+    return fn(obj)
+
+
+class Arenas:
+    """One worker's two write arenas and its read attachments.
+
+    Lives as long as the worker process (across jobs and rollbacks).
+    ``moved`` counts the bytes this worker copied out of peers' arenas.
+    """
+
+    def __init__(self, prefix: str) -> None:
+        """Own the arenas named ``prefix<parity>-<growth>``."""
+        self.prefix = prefix
+        self.parity = 0  # flips on every completed round
+        self.moved = 0
+        self._growth = 0
+        self._out: List[Optional[shared_memory.SharedMemory]] = [None, None]
+        self._in: Dict[str, shared_memory.SharedMemory] = {}
+
+    # Writing ----------------------------------------------------------------
+
+    def wire(self, obj: Any) -> Tuple[Optional[str], Any]:
+        """Park ``obj``'s ndarrays in this round's arena.
+
+        Returns ``(arena name, payload with ShmRef stand-ins)``; the name
+        is ``None`` when ``obj`` holds no ndarray worth parking.
+        """
+        pending: List[Tuple[int, np.ndarray]] = []
+        end = 0
+
+        def park(v: Any) -> Any:
+            nonlocal end
+            if type(v) is not np.ndarray or v.dtype.kind not in _BUFFER_KINDS or not v.nbytes:
+                return v
+            ref = ShmRef(end, v.dtype.str, v.shape)
+            pending.append((end, v))
+            end += -(-v.nbytes // _ALIGN) * _ALIGN
+            return ref
+
+        wired = _map(obj, park)
+        if not pending:
+            return None, obj
+        shm = self._reserve(end)
+        for off, arr in pending:
+            np.ndarray(arr.shape, arr.dtype, buffer=shm.buf, offset=off)[...] = arr
+        return shm.name, wired
+
+    def _reserve(self, nbytes: int) -> shared_memory.SharedMemory:
+        """This parity's arena, grown (new name, old one unlinked) to fit."""
+        shm = self._out[self.parity]
+        if shm is not None and shm.size >= nbytes:
+            return shm
+        size = max(nbytes, _MIN_ARENA, 2 * shm.size if shm is not None else 0)
+        with _untracked():
+            while True:
+                self._growth += 1
+                name = f"{self.prefix}{self.parity}-{self._growth}"
+                try:
+                    grown = shared_memory.SharedMemory(name, create=True, size=size)
+                    break
+                except FileExistsError:  # left behind by a recycled pid
+                    continue
+            if shm is not None:
+                # Every peer finished reading this parity (see the module
+                # docstring), so the smaller arena can go right away.
+                shm.close()
+                shm.unlink()
+        self._out[self.parity] = grown
+        return grown
+
+    # Reading ----------------------------------------------------------------
+
+    def unwire(self, name: Optional[str], obj: Any) -> Any:
+        """Copy the ndarrays ``obj`` refers to out of arena ``name``."""
+        if name is None:
+            return obj
+        key = name.rsplit("-", 1)[0]  # owner and parity
+        shm = self._in.get(key)
+        if shm is None or shm.name != name:
+            with _untracked():
+                shm = self._in[key] = shared_memory.SharedMemory(name=name)
+
+        def copy(v: Any) -> Any:
+            if type(v) is not ShmRef:
+                return v
+            arr = np.ndarray(v.shape, v.dtype, buffer=shm.buf, offset=v.offset).copy()
+            self.moved += arr.nbytes
+            return arr
+
+        return _map(obj, copy)

@@ -113,7 +113,6 @@ class ServiceConfig:
     layers: Sequence[CommLayer] = ()
     store_root: Optional[str] = None
     start_method: str = "spawn"
-    shm_threshold_bytes: int = 1 << 16
     warm_pool: bool = True
 
     def __post_init__(self) -> None:
@@ -144,7 +143,6 @@ class _Executor:
             self.backend: Backend = get_backend(
                 "process",
                 start_method=config.start_method,
-                shm_threshold_bytes=config.shm_threshold_bytes,
                 persistent=config.warm_pool,
             )
         else:
@@ -461,7 +459,6 @@ class ForestService:
                 store=session.store,
                 max_replacements=cfg.max_replacements,
                 start_method=cfg.start_method,
-                shm_threshold_bytes=cfg.shm_threshold_bytes,
                 attempt_offset=session.attempts,
             )
             session.state = RUNNING

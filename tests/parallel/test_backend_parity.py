@@ -20,7 +20,7 @@ from tests.parallel.test_stress_invariants import run_phases
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
-def run_both(fn, *args, size=3, layers=(), shm_threshold_bytes=1 << 16):
+def run_both(fn, *args, size=3, layers=()):
     """Run ``fn`` under both backends; return {backend: RunResult}."""
     results = {}
     for backend in ("thread", "process"):
@@ -29,7 +29,6 @@ def run_both(fn, *args, size=3, layers=(), shm_threshold_bytes=1 << 16):
             backend=backend,
             layers=list(layers),
             start_method="fork",
-            shm_threshold_bytes=shm_threshold_bytes,
         )
         results[backend] = Machine(cfg).run(fn, *args)
     return results
@@ -120,9 +119,9 @@ def test_shm_transport_changes_no_result():
         ((src, received),) = inbox.items()
         return float(sum(r.sum() for r in rows)), src, float(received.sum())
 
-    # Force the shared-memory path (threshold far below the 64 KiB array)
-    # and compare against the thread backend, which has no such path.
-    results = run_both(prog, size=3, shm_threshold_bytes=1024)
+    # Every ndarray rides the shared-memory arenas on the process
+    # backend; the thread backend has no such path.
+    results = run_both(prog, size=3)
     assert results["thread"].values == results["process"].values
 
 

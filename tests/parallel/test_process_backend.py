@@ -41,6 +41,20 @@ def _shm_segments():
     return set(glob.glob("/dev/shm/repro-*"))
 
 
+def test_arena_names_match_the_leak_glob():
+    # Positive control: the hygiene tests below compare _shm_segments()
+    # before and after a run, which proves nothing unless a live arena
+    # actually matches the glob.
+    def prog(comm):
+        comm.allgather(np.full(8, float(comm.rank)))
+        return len(_shm_segments())
+
+    with Machine(_pconfig(2, warm_pool=True)) as machine:
+        assert min(machine.run(prog).values) >= 2
+        assert len(_shm_segments()) >= 2  # parked workers keep their arenas
+    assert not [s for s in _shm_segments() if f"repro-{os.getpid()}-" in s]
+
+
 # Spawn start method ---------------------------------------------------------
 
 
@@ -124,7 +138,7 @@ def test_shm_roundtrip_and_no_leaked_segments():
             assert row.shape == (16384,) and float(row[0]) == float(r)
         return float(sum(r.sum() for r in rows))
 
-    cfg = _pconfig(3, shm_threshold_bytes=1024)
+    cfg = _pconfig(3)
     machine = Machine(cfg)
     for _ in range(2):
         assert machine.run(prog).values == [3 * 16384.0] * 3
@@ -143,7 +157,7 @@ def test_shm_segments_freed_after_worker_death():
         return True
 
     with pytest.raises(SpmdError):
-        Machine(_pconfig(2, shm_threshold_bytes=1024, timeout=30.0)).run(prog)
+        Machine(_pconfig(2, timeout=30.0)).run(prog)
     assert _shm_segments() == before
 
 
@@ -156,7 +170,8 @@ def _ckpt_program(comm, store):
     start = ck["i"] if ck else 0
     total = ck["acc"] if ck else 0
     for i in range(start, 6):
-        total += comm.allreduce(i + comm.rank)
+        # An ndarray, so the rounds ride the shared-memory arenas.
+        total += int(comm.allreduce(np.array([i + comm.rank]))[0])
         if comm.rank == 0:
             store.save({"i": i + 1, "acc": total})
     return total
@@ -275,14 +290,12 @@ def test_replacement_shm_hygiene_with_large_payloads():
             store.save("started")
         arr = np.full(16384, float(comm.rank))
         for i in range(4):
-            rows = comm.allgather(arr)  # shm-backed at this threshold
+            rows = comm.allgather(arr)  # rides the shared-memory arenas
             if first and i == 2 and comm.rank == 1:
                 os.kill(os.getpid(), signal.SIGKILL)
         return float(sum(r.sum() for r in rows))
 
-    cfg = _pconfig(
-        2, max_replacements=1, shm_threshold_bytes=1024, timeout=20.0
-    )
+    cfg = _pconfig(2, max_replacements=1, timeout=20.0)
     res = Machine(cfg).run(prog, store=MemoryCheckpointStore())
     assert res.values == [16384.0, 16384.0]
     assert res.recovery.replacements == 1

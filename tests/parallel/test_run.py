@@ -35,8 +35,6 @@ def test_runconfig_validation():
         RunConfig(size=2, min_size=0)
     with pytest.raises(ValueError):
         RunConfig(size=2, timeout=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(size=2, shm_threshold_bytes=-1)
 
 
 def test_runconfig_canonicalizes_layer_order():
@@ -112,8 +110,6 @@ def test_get_backend_rejects_unknown_name():
 def test_process_backend_validates_options():
     with pytest.raises(ValueError):
         ProcessBackend(start_method="teleport")
-    with pytest.raises(ValueError):
-        ProcessBackend(shm_threshold_bytes=-1)
 
 
 def test_attempt_offset_shifts_the_layer_attempt_index():
