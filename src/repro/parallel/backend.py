@@ -8,9 +8,10 @@ an execution backend fulfils to run ``P`` such programs concurrently:
   collective's argument validation, :class:`~repro.parallel.stats.CommStats`
   metering, and combine logic live here, implemented over three
   transport primitives (:meth:`MeteredComm._wait`,
-  :meth:`MeteredComm._collect` and :meth:`MeteredComm._route`).  Because both the thread and the process
-  backend reuse this frontend verbatim, message and byte accounting is
-  byte-exact across backends *by construction*.
+  :meth:`MeteredComm._collect` and :meth:`MeteredComm._route`).
+  Because both the thread and the process backend reuse this frontend
+  verbatim, message and byte accounting is byte-exact across backends
+  *by construction*.
 * :class:`Backend` — one launch strategy.  ``run_attempt`` executes a
   single attempt of ``size`` ranks and reports outcomes or the first
   failure; the retry loop of resilient runs lives above it in
@@ -464,8 +465,8 @@ def get_backend(name: str, **options: Any) -> Backend:
     """Resolve a backend by registry name.
 
     ``options`` are forwarded to the backend constructor (the process
-    backend accepts ``start_method`` and ``persistent``; the thread backend takes none).  Unknown names raise
-    :class:`ValueError`.
+    backend accepts ``start_method`` and ``persistent``; the thread
+    backend takes none).  Unknown names raise :class:`ValueError`.
     """
     if name == "thread":
         from repro.parallel.machine import ThreadBackend
