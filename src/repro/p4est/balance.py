@@ -7,15 +7,16 @@ with arbitrary rotations.
 
 The algorithm iterates a bulk-synchronous round until a global fixpoint:
 
-1. every rank generates *constraints* from its seed leaves — for each
-   seed at level ``l`` and each neighbor direction, the same-size
-   neighbor region, transformed into the neighbor tree when it lies
-   outside the leaf's own tree (faces use the rigid
-   :class:`CellTransform`; edge/corner regions use the pinned seeds of
-   the edge/corner links).  Round 1 seeds every leaf; a later round
-   seeds only the leaves the previous round created.  Regions at a
-   sibling's position are skipped: their proper ancestors are the shared
-   parent and above, never a leaf;
+1. every rank generates *constraints* from the families of its seed
+   leaves — for each distinct parent of a seed of level ``l >= 2`` and
+   each neighbor direction, the parent's same-size neighbor ``Q``,
+   transformed into the neighbor tree when it lies outside the parent's
+   own tree (faces use the rigid :class:`CellTransform`; edge/corner
+   regions use the pinned seeds of the edge/corner links), and emitted
+   as its first child (``Q``'s anchor at level ``l``).  Round 1 seeds
+   every leaf; a later round seeds only the leaves the previous round
+   created.  Positions at a sibling of the parent are skipped: their
+   proper ancestors are the grandparent and above, never a leaf;
 2. constraints are routed to the ranks owning any leaf overlapping them
    (SFC owner search) with one sparse exchange;
 3. each rank refines any leaf that is a *proper ancestor* of a constraint
@@ -94,29 +95,40 @@ def generate_neighbor_regions(
 
 
 def _constraint_regions(conn: Connectivity, leaves: Octants, codim: int) -> Octants:
-    """Balance's regions of ``leaves``: :func:`generate_neighbor_regions`
-    at ``min_level=2`` without the regions at a sibling's position.
+    """Balance's regions of ``leaves``: one parent-level neighbourhood per
+    family, each region ``Q`` emitted as its first child.
 
-    A sibling region is covered by the sibling or its descendants; its
-    proper ancestors (the shared parent and above) are not leaves, so it
-    can never force a split.  Sibling regions lie in the parent, hence
-    always inside the root: only the interior part is filtered.
+    A leaf ``c`` of level ``l`` is violated through a same-size region
+    ``R`` iff some leaf properly contains ``parent(R)``
+    (:func:`_enforce_constraints`' test).  Outside ``c``'s parent ``p``,
+    ``parent(R)`` ranges over the neighbours of ``p`` that touch ``c``;
+    over the family that is ``p``'s whole codim-``<= codim``
+    neighbourhood.  ``Q``'s first child has exactly ``Q``'s violators
+    under the same test, so routing and enforcement are unchanged.  A
+    later round's seed families are complete (a split creates every
+    child); in round 1 a ``Q`` touching only non-leaf children of ``p``
+    is implied by a deeper seed's region inside ``Q``.  The positions at
+    a sibling of ``p`` are skipped (their proper ancestors are ``p``'s
+    parent and above, never a leaf), and exterior ``Q`` are mapped at the
+    parent level: the tree transforms keep parent-aligned cells aligned.
     """
     leaves = _at_least(leaves, 2)
     if not len(leaves):
         return Octants.empty(conn.dim)
-    _, nb = neighborhood(leaves, codim)
+    parents = dedup_octants(leaves.parents())
+    _, nb = neighborhood(parents, codim)
     # Offset ``o`` reaches a sibling iff on every axis it moves along, the
-    # leaf's child-id bit points back into the parent (bit 0 moves +1,
-    # bit 1 moves -1).  Offset-major, like ``neighborhood``.
+    # parent's child-id bit points back into the grandparent (bit 0 moves
+    # +1, bit 1 moves -1).  Offset-major, like ``neighborhood``.
     offs = all_neighbor_offsets(conn.dim, codim)
     axis_bit = 1 << np.arange(3)
     moved = (offs != 0) @ axis_bit
     back = (offs < 0) @ axis_bit
-    cid = leaves.child_ids()
+    cid = parents.child_ids()
     sibling = ((cid[None, :] & moved[:, None]) == back[:, None]).ravel()
     inside = nb.inside_root()
-    return _into_trees(conn, nb, inside, inside & ~sibling)
+    q = _into_trees(conn, nb, inside, inside & ~sibling)
+    return Octants._wrap(q.dim, q.tree, q.x, q.y, q.z, q.level + 1)
 
 
 def _at_least(leaves: Octants, min_level: int) -> Octants:

@@ -1,9 +1,10 @@
 """Balance's seeded rounds against the full-generation loop.
 
 ``balance`` generates round 1's constraint regions from every leaf and
-each later round's only from the leaves the previous round created, and
-it skips the regions at a sibling's position.  ``reference_balance``
-below is the loop it replaced: every leaf, every direction, every round.
+each later round's only from the leaves the previous round created, one
+parent-level neighbourhood per family (siblings of the parent skipped),
+each region emitted as its first child.  ``reference_balance`` below is
+the loop it replaced: every leaf, every direction, every round.
 Both run on the same generated forest and partition, with marks that are
 a function of the octant, so after every round the leaves on each rank
 (hence the global leaf set) and the round count must agree.
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.p4est.balance import (
     _constraint_regions,
+    _violations,
     balance,
     dedup_octants,
     generate_neighbor_regions,
@@ -36,7 +38,7 @@ from repro.p4est.balance import (
 )
 from repro.p4est.builders import brick_2d, moebius, rotcubes, shell, unit_square
 from repro.p4est.forest import Forest, octants_from_wire, octants_to_wire
-from repro.p4est.octant import Octants, is_ancestor_pairwise
+from repro.p4est.octant import Octants, is_ancestor_pairwise, searchsorted_octants
 from repro.p4est.validate import validate_forest
 from repro.parallel import SerialComm
 from repro.parallel.ops import LOR
@@ -165,26 +167,93 @@ def test_seeded_rounds_match_full_generation(conn_name, seed, size, data):
         assert cks == ref_cks
 
 
-def test_sibling_regions_are_skipped():
-    """An interior leaf keeps 19 of 26 directions in 3D and 5 of 8 in 2D."""
-    for conn, nkept in ((rotcubes(), 19), (unit_square(), 5)):
-        forest = Forest.new(conn, SerialComm(), level=3)
-        # Child 0 of an interior level-2 parent: no region leaves the root.
-        leaf = forest.local[np.array([0])]
-        h = int(leaf.lens()[0])
-        shift = np.full(1, 4 * h)
-        leaf = leaf.shifted(shift, shift, shift * (conn.dim == 3))
-        full = generate_neighbor_regions(conn, leaf, conn.dim, min_level=2)
-        kept = _constraint_regions(conn, leaf, conn.dim)
-        assert len(full) == 3**conn.dim - 1
-        assert len(kept) == nkept
-        parent = leaf.parents()[np.zeros(len(full), dtype=np.int64)]
-        sibling = is_ancestor_pairwise(parent, full)
-        assert sibling.sum() == 2**conn.dim - 1
-        np.testing.assert_array_equal(
-            octants_to_wire(dedup_octants(full[~sibling])),
-            octants_to_wire(dedup_octants(kept)),
-        )
+def _families(conn):
+    """Level-3 families: one of an interior level-2 parent, then one at
+    the first and one at the last corner of every tree."""
+    leaves = Forest.new(conn, SerialComm(), level=3).local
+    nc = 2**conn.dim
+    family = leaves[np.arange(nc)]
+    shift = np.full(nc, 4 * int(family.lens()[0]))
+    yield family.shifted(shift, shift, shift * (conn.dim == 3))
+    starts = np.flatnonzero(np.diff(leaves.tree, prepend=-1))
+    ends = np.append(starts[1:], len(leaves))
+    for a in (*starts, *(ends - nc)):
+        yield leaves[np.arange(a, a + nc)]
+
+
+def test_family_regions_are_parent_neighbours():
+    """A family yields its parent's non-sibling neighbours, mapped into
+    the neighbour trees at the parent level, at their anchors and the
+    leaves' level, whichever of its leaves are seeds: 19 regions in 3D
+    and 5 in 2D for an interior family."""
+    for conn, nkept in ((rotcubes(), 19), (moebius(), 5), (unit_square(), 5)):
+        for i, family in enumerate(_families(conn)):
+            parent = family.parents()[np.array([0])]
+            around = generate_neighbor_regions(conn, parent, conn.dim)
+            grand = parent.parents()[np.zeros(len(around), dtype=np.int64)]
+            sibling = is_ancestor_pairwise(grand, around)
+            assert sibling.sum() == 2**conn.dim - 1
+            want = around[~sibling]
+            want = Octants(conn.dim, want.tree, want.x, want.y, want.z, want.level + 1)
+            for seeds in (family, family[np.array([0])], family[np.array([-1])]):
+                got = _constraint_regions(conn, seeds, conn.dim)
+                assert (got.level == family.level[0]).all()
+                if i == 0:
+                    assert len(got) == nkept
+                np.testing.assert_array_equal(
+                    octants_to_wire(dedup_octants(got)),
+                    octants_to_wire(dedup_octants(want)),
+                )
+
+
+def _violators(leaves, regions):
+    """Indices of the leaves some region violates (``_violations``)."""
+    viol = _violations(leaves, regions)
+    return np.unique(searchsorted_octants(leaves, regions[viol], side="right") - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    conn_name=st.sampled_from(["moebius", "rotcubes", "shell", "unit_square"]),
+    seed=st.integers(0, 2**20),
+    data=st.data(),
+)
+def test_family_regions_violate_like_full_generation(conn_name, seed, data):
+    """Family regions violate exactly the leaves full generation's do, on
+    round 1 (every leaf a seed, families incomplete) and on the round
+    after it (seeds = the leaves round 1 created)."""
+    build, maxlevel = CONNS[conn_name]
+    conn = build()
+    codim = data.draw(st.integers(1, conn.dim), label="codim")
+    forest = Forest.new(conn, SerialComm(), level=1)
+    forest.refine(callback=lambda o: octant_marks(o, seed, maxlevel), recursive=True)
+    leaves, seeds = forest.local, forest.local
+    for _ in range(2):
+        full = dedup_octants(generate_neighbor_regions(conn, seeds, codim, min_level=2))
+        family = dedup_octants(_constraint_regions(conn, seeds, codim))
+        want = _violators(leaves, full)
+        np.testing.assert_array_equal(_violators(leaves, family), want)
+        if not len(want):
+            break
+        leaves, seeds = _enforce(leaves, full)
+
+
+def test_is_balanced_keeps_full_generation():
+    """The verifier never goes through Balance's own region generator."""
+    conn = rotcubes()
+    forest = Forest.new(conn, SerialComm(), level=1)
+    forest.refine(callback=lambda o: octant_marks(o, 3, 4), recursive=True)
+    unbalanced = Forest(conn, SerialComm(), forest.local.copy())
+    with mock.patch.object(
+        balance_mod, "_constraint_regions", wraps=_constraint_regions
+    ) as gen:
+        assert not is_balanced(unbalanced)
+        gen.assert_not_called()
+        balance(forest)
+        assert gen.called  # the patch is the generator Balance uses
+        gen.reset_mock()
+        assert is_balanced(forest)
+        gen.assert_not_called()
 
 
 def test_route_exterior_indexed_empty():
