@@ -818,7 +818,7 @@ def dg_batch_envs(solver) -> Iterator[Tuple[str, Dict[str, object]]]:
             "em": batch.eminus,
             "n": -normals[rows] if coarse else normals[rows],
             "sj": sjac[rows],
-            "xf": m.coords[rows][:, face_node_indices(dim, nq, f)],
+            "xf": m.coords[rows[:, None], face_node_indices(dim, nq, f)],
         }
         if batch.kind != BOUNDARY:
             env.update(pidx=face_node_indices(dim, nq, batch.fplus), ep=batch.eplus)
