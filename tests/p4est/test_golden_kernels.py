@@ -2,10 +2,11 @@
 
 ``golden_kernels.json`` was captured from the scalar (pre-flat-array)
 implementations of the hot kernels.  These tests re-run the same two
-scenarios at P in {1, 3, 8} and require every output hash — forest
-checksum, ghost octants and mirror/ghost maps, lnodes arrays and
-send/recv maps — and every per-op :class:`CommStats` entry to match
-exactly.  Any vectorization change that alters results or wire traffic
+scenarios at P in {1, 3, 8} on the session backend of
+``tests.parallel.helpers`` (``REPRO_TEST_BACKEND``), and require every
+output hash — forest checksum, ghost octants and mirror/ghost maps,
+lnodes arrays and send/recv maps — and every per-op :class:`CommStats`
+entry to match exactly.  Any vectorization change that alters results or wire traffic
 (message counts or bytes) fails here before it can reach a benchmark.
 
 Regenerate the goldens (only when an *intentional* output change lands)
@@ -24,7 +25,7 @@ from repro.p4est.builders import rotcubes, unit_square
 from repro.p4est.forest import Forest
 from repro.p4est.ghost import build_ghost
 from repro.p4est.nodes import lnodes
-from repro.parallel import Machine, RunConfig
+from tests.parallel.helpers import run as spmd
 
 GOLDEN_PATH = Path(__file__).parent / "golden_kernels.json"
 
@@ -111,9 +112,7 @@ def goldens():
 @pytest.mark.parametrize("conn_name", ["rotcubes", "square"])
 @pytest.mark.parametrize("P", [1, 3, 8])
 def test_kernel_outputs_bit_exact(goldens, conn_name, P):
-    got = Machine(RunConfig(size=P)).run(
-        lambda c: _run_scenario(c, conn_name)
-    ).values
+    got = spmd(P, lambda c: _run_scenario(c, conn_name))
     want = goldens[f"{conn_name}/P{P}"]
     assert len(got) == len(want) == P
     for rank, (g, w) in enumerate(zip(got, want)):
