@@ -54,9 +54,9 @@ class ElasticModel:
 
     ``lowering_kind`` opts the model into the kernel compiler's
     specialized elastic lowering (coefficient-hoisted, tensor-free; see
-    ``repro.mangll.compiler.lower``).  A subclass that overrides the
-    flux methods must set ``lowering_kind = None`` or the compiled path
-    will still execute this class's physics.
+    ``repro.mangll.compiler.lower``).  The compiler reads it from the
+    model's own class only, so a subclass compiles only if it declares
+    one itself.
     """
 
     lowering_kind = "elastic"

@@ -1,9 +1,10 @@
-"""The mangll kernel compiler (ROADMAP item 2, the ffcx blueprint).
+"""The mangll kernel compiler, after the ffcx blueprint.
 
-Lower -> plan -> emit -> cache, in four small modules:
+Lower -> plan -> emit -> cache:
 
 * :mod:`~repro.mangll.compiler.ir` — the typed tensor IR (einsum,
-  pointwise, stack, extern; explicit mutation statements).
+  pointwise, stack, bind-time model queries; explicit mutation
+  statements).
 * :mod:`~repro.mangll.compiler.lower` — mangll operators written into
   the IR, preserving the interpreted reference's exact float semantics.
 * :mod:`~repro.mangll.compiler.passes` — CSE, loop-invariant hoisting
@@ -18,8 +19,10 @@ Lower -> plan -> emit -> cache, in four small modules:
 This module is the facade: ``compile_*`` returns a cached
 :class:`CompiledKernel` per specialization key, and ``prepare_*``
 evaluates its bind-stage values against one concrete mesh/model into
-the ``P`` dict the kernel consumes.  Apps never call these directly —
-they go through :mod:`repro.mangll.op`.
+the ``P`` dict the kernel consumes.  A compiled dG kernel is
+``kernel(q_local, q_all, P)``: it never calls the model, whose queries
+(the advection velocity, the elastic material) run once, at bind.  Apps
+never call these directly — they go through :mod:`repro.mangll.op`.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .lower import (
 )
 
 __all__ = [
+    "DG_KINDS",
     "IR_VERSION",
     "KernelCache",
     "CompileError",
@@ -91,7 +95,7 @@ class CompiledKernel:
 
 # --- dG RHS -----------------------------------------------------------------
 
-_DG_PARAMS = ("q_local", "q_all", "t", "P", "model")
+_DG_PARAMS = ("q_local", "q_all", "P")
 _DG_PROLOGUE = ("ne = q_local.shape[0]",)
 
 
@@ -133,7 +137,7 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
     whose transfer matrices are byte-equal join one batch, and so do
     all boundary batches.  Their lifted rows land in the lift buffer
     ``P["lb"]``, which the tail applies with one ``np.subtract.at`` at
-    the flat int32 targets ``P["lt"]``.  For the bit-exact kinds
+    the flat int32 targets ``P["lt"]``.  For the advection kind
     (:func:`~repro.mangll.compiler.lower.merged_batch_envs`) that is the
     reference's accumulation order, whatever order the batches run in.
     The elastic kind (:func:`~repro.mangll.compiler.lower.elastic_batch_envs`)

@@ -9,7 +9,7 @@ processes skip lowering entirely.
 
 Disk entries carry a *versioned fingerprint* header::
 
-    # repro-kernel v5 key=dg_rhs-d2-p3-f1-advection fingerprint=<sha256>
+    # repro-kernel v6 key=dg_rhs-d2-p3-f1-advection fingerprint=<sha256>
 
 The fingerprint hashes the IR version, a digest of the compiler's own
 source (:data:`EMITTER_DIGEST`), the key, and the body.  A stale entry —
@@ -37,7 +37,7 @@ from ...io.checkpoint import fsync_dir
 
 #: Bumped whenever the IR, a pass, or the emitter changes the generated
 #: source for the same key; stale disk entries are then regenerated.
-IR_VERSION = 5
+IR_VERSION = 6
 
 
 def _emitter_digest() -> str:

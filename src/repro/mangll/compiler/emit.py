@@ -11,7 +11,7 @@ Two halves of one contract:
   bind-time positions, and the tail applies the whole buffer with one
   ``np.subtract.at`` (``lift``) in buffer order.  The lifts of one
   element's faces share edge/corner nodes, so that order is part of
-  bit-identity: for the bit-exact kinds it is the reference's batch
+  bit-identity: for the advection kind it is the reference's batch
   order, and the batches may come in any order and merge freely.
 
 * :class:`BindEvaluator` interprets the *bind-stage* subgraph once at
@@ -19,7 +19,7 @@ Two halves of one contract:
   emitted source references (:func:`analyze` records them as it emits
   each reference, so the two sides cannot drift).
 
-A region is emitted in one of two forms.  **Planned**: the region's lead
+The ``main`` and face regions are **planned**: the region's lead
 dimension (the elements of ``main``, the pairs of a face batch) is cut
 into blocks of a compiler-derived size; bind tables and arguments enter
 each block as slices; pointwise templates are parsed into their ufunc
@@ -30,13 +30,10 @@ itself would evaluate, so every float is the same) and each call, with
 (:func:`repro.mangll.compiler.passes.assign_slots`).  What NumPy cannot
 do into a given array — ``einsum`` (its accumulation order follows its
 operands' strides, ``out=`` included), ``np.where`` — is left allocating
-its block-sized result.  **Plain**: one expression per node over the
-whole lead, single-use nodes fused into their consumer — the form every
-region had before planning, kept for the tail, for regions whose shapes
-the probe cannot follow, and for the regions that call back into the
-model at run time (the generic kind's externs, which must see the *same*
-bind-table objects on every call: material memoization is by array
-identity).
+its block-sized result.  A ``main`` or face region that cannot be
+planned is a :class:`CompileError`.  The ``tail`` alone is **plain**:
+one expression per statement over the whole lead (the lift and the
+inverse mass), single-use nodes fused into their consumer.
 
 Shapes come from probing, not from a shape algebra: every value is
 computed twice on stand-in operands built from the leaves' declared
@@ -63,6 +60,7 @@ import numpy as np
 from .ir import (
     LEADS,
     LEAF_OPS,
+    CompileError,
     Graph,
     Node,
     Stmt,
@@ -95,23 +93,15 @@ _BINOP_UFUNC = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.D
 _ALLOCS = ("zeros", "zeros_like", "empty", "empty_like")
 
 
-class CompileError(RuntimeError):
-    """Raised when lowering/emission violates a compiler invariant."""
-
-
 class _Unsupported(Exception):
     """This node has no ``out=`` form; it is emitted as its template."""
-
-
-class _Unplannable(Exception):
-    """This region cannot be blocked; it is emitted plain."""
 
 
 @dataclass
 class RegionCode:
     """The emitted lines of one region."""
 
-    #: rows per block; ``None`` for a plain (unblocked, unplanned) region
+    #: rows per block; ``None`` for the plain (unblocked, unplanned) tail
     rows: Optional[int] = None
     #: workspace items the region needs per row of a block
     units: int = 0
@@ -219,8 +209,9 @@ class _Region:
     """Linearizes one region of an analyzed graph into lines.
 
     ``lead`` is the region's lead token (``"e"``/``"b"``) when it is
-    planned, ``None`` when plain.  ``scope`` maps the run-stage nodes
-    already materialized to their operands.
+    planned, ``None`` for the plain tail (and whole-array allocations).
+    ``scope`` maps the run-stage nodes already materialized to their
+    operands.
     """
 
     def __init__(self, ctx: "_Context", lead: Optional[str], scope: Dict[int, _Val]) -> None:
@@ -266,14 +257,14 @@ class _Region:
         assert self.lead is not None
         s0, s1 = _shape(probe[0]), _shape(probe[1])
         if len(s0) != len(s1):
-            raise _Unplannable("rank follows the lead")
+            raise CompileError("rank follows the lead")
         found = False
         for axis, (d0, d1) in enumerate(zip(s0, s1)):
             k = d1 - d0
             if k == 0 or (d0 // k, d1 // k) != LEADS[self.lead]:
                 continue
             if axis != 0 or k != 1:
-                raise _Unplannable(f"lead {self.lead!r} off axis 0")
+                raise CompileError(f"lead {self.lead!r} off axis 0")
             found = True
         return found
 
@@ -305,7 +296,7 @@ class _Region:
                 raise _Unsupported
             self.shapes[len(self.buffers)] = self._shape_text(probe)
         elif units is None:
-            raise _Unplannable("a result's size does not follow the lead")
+            raise CompileError("a result's size does not follow the lead")
         self.buffers.append(Buffer(units=units or 0, slot=slot))
         return len(self.buffers) - 1
 
@@ -344,7 +335,7 @@ class _Region:
         if self.lead is None:
             return _Val(text, probe)
         if probe is None:
-            raise _Unplannable(f"{text} has no declared shape")
+            raise CompileError(f"{text} has no declared shape")
         if not self._lead_at_axis0(probe):
             return _Val(text, probe)
         if self.lead == "b" and cid in self.ctx.batch_dep:
@@ -352,7 +343,7 @@ class _Region:
             self.row_tables.add(cid)
             return _Val(text, probe)
         if self.lead == "b":
-            raise _Unplannable(f"{text} carries batch rows but is not a batch value")
+            raise CompileError(f"{text} carries batch rows but is not a batch value")
         if node.op == "arg":
             self.sliced[f"{text}_b"] = text
             return _Val(f"{text}_b", probe)
@@ -379,8 +370,6 @@ class _Region:
 
     def define(self, node: Node, dest: Optional[_Val] = None) -> _Val:
         """The value of a pure run-stage node, written to ``dest`` if given."""
-        if node.op == "extern" and self.lead is not None:
-            raise _Unplannable("run-stage model call")
         if node.op == "stack" and self.lead is not None and dest is None:
             return self._stack(node)
         ins = [self.val(i) for i in node.inputs]
@@ -405,13 +394,11 @@ class _Region:
             text = f'np.einsum("{node.attr("subs")}", {", ".join(texts)})'
         elif node.op == "stack":
             text = f"np.stack([{', '.join(texts)}], axis=0)"
-        elif node.op == "extern":
-            text = f"model.{node.attr('method')}({', '.join(texts)})"
         else:
             raise CompileError(f"cannot render op {node.op!r}")
         probe = self.ctx.probe(node.id)
         if probe is None and self.lead is not None:
-            raise _Unplannable("a value of unknown shape")
+            raise CompileError("a value of unknown shape")
         roots = frozenset().union(*[v.roots for v in ins])
         if self.lead is not None and probe is not None and self._rows_of(probe):
             # An unnamed block-sized result: live on the line that reads it.
@@ -422,7 +409,7 @@ class _Region:
         """A plane block: each input is written straight into its plane."""
         probe = self.ctx.probe(node.id)
         if probe is None:
-            raise _Unplannable("a value of unknown shape")
+            raise CompileError("a value of unknown shape")
         try:
             k = self._new_buffer(probe, slot=True)
         except _Unsupported:
@@ -480,7 +467,7 @@ class _Region:
     @staticmethod
     def _probe_of(v: _Val) -> _Probe:
         if v.probe is None:
-            raise _Unplannable("a value of unknown shape")
+            raise CompileError("a value of unknown shape")
         return v.probe
 
     def _view(self, base: _Val, suffix: str, dest: Optional[_Val], prefix: str = "") -> _Val:
@@ -542,8 +529,6 @@ class _Region:
                 if name in ("reshape", "transpose") and not t.keywords:
                     axes = ", ".join(ast.unparse(a) for a in t.args)
                     return self._view(base, f".{name}({axes})", dest)
-                if name == "copy" and not t.args and not t.keywords:
-                    return self._copy(base, dest)
                 raise _Unsupported
             if name == "moveaxis" and not t.keywords:
                 return self._view(
@@ -603,26 +588,21 @@ class _Region:
             )
             return
         assert s.value is not None
-        planned = self.lead is not None
-        if s.kind == "setitem" and planned:
+        if s.kind == "setitem":
             self._store(s, tgt)
             return
+        if s.kind != "iop":
+            raise CompileError(f"unknown stmt kind {s.kind!r}")
         self.ensure(s.value)
         val = self.val(s.value)
         reads = tgt.roots | val.roots
-        if s.kind == "iop" and planned and s.sym in _IOP_UFUNC:
+        if self.lead is not None and s.sym in _IOP_UFUNC:
             self._line(
                 f"np.{_IOP_UFUNC[s.sym]}({tgt.text}, {val.text}, out={tgt.text})",
                 self._written(tgt), reads,
             )
-        elif s.kind == "iop":
-            self._line(f"{tgt.text} {s.sym}= {val.text}", None, reads)
-        elif s.kind == "setitem":
-            self._line(f"{tgt.text}[{s.idx}] = {val.text}", None, reads)
-        elif s.kind == "isetop":
-            self._line(f"{tgt.text}[{s.idx}] {s.sym}= {val.text}", None, reads)
         else:
-            raise CompileError(f"unknown stmt kind {s.kind!r}")
+            self._line(f"{tgt.text} {s.sym}= {val.text}", None, reads)
 
     def _store(self, s: Stmt, tgt: _Val) -> None:
         """``target[idx] = value``, computed in place when it can be."""
@@ -678,7 +658,7 @@ class _Context:
             out = None if a is None else (a, probe_leaf(node, 1))
         else:
             ins = [self.probe(i) for i in node.inputs]
-            if any(p is None for p in ins) or (node.op == "extern" and node.attr("like") is None):
+            if any(p is None for p in ins):
                 out = None
             else:
                 known = [p for p in ins if p is not None]
@@ -726,18 +706,18 @@ def _emit_region(
                 and isinstance(tree.func, ast.Attribute)
                 and tree.func.attr in _ALLOCS
             ):
-                raise _Unplannable(f"v{cid} outlives the block loop and is not an allocation")
+                raise CompileError(f"v{cid} outlives the block loop and is not an allocation")
             if any(
                 ctx.graph.node(c).op != "arg" and ctx.plan.stage[c] != "bind"
                 for c in map(ctx.plan.canon, node.inputs)
             ):
-                raise _Unplannable(f"v{cid} outlives the block loop and is sized by a block")
+                raise CompileError(f"v{cid} outlives the block loop and is sized by a block")
             whole = _Region(ctx, None, {})
             v = whole.define(node)
             rb.pre.append(f"v{cid} = {v.text}")
             rb.used_bind |= whole.used_bind
             if v.probe is None:
-                raise _Unplannable("a value of unknown shape")
+                raise CompileError("a value of unknown shape")
             if rb._lead_at_axis0(v.probe):
                 rb.sliced[f"v{cid}_b"] = f"v{cid}"
                 rb.scope[cid] = _Val(f"v{cid}_b", v.probe)
@@ -800,23 +780,16 @@ def analyze(graph: Graph, pprefix: str = "") -> Analysis:
     with _AST_LOCK:
         for region in [r for r in ("main", *FACE_K, "tail") if r in by_region]:
             lead = {"main": "e", "tail": None}.get(region, "b")
-            rb = None
-            if lead is not None:
-                try:
-                    if lead == "e" and any(c not in mutated for c in shared):
-                        raise _Unplannable("a computed value is shared with a later region")
-                    rb, rc = _emit_region(ctx, region, lead, scope, frozenset(shared))
-                except _Unplannable:
-                    rb = None
-            if rb is None:
-                rb, rc = _emit_region(ctx, region, None, scope, frozenset())
+            try:
+                if lead == "e" and any(c not in mutated for c in shared):
+                    raise CompileError("a computed value is shared with a later region")
+                rb, rc = _emit_region(ctx, region, lead, scope, frozenset(shared))
+            except CompileError as exc:
+                raise CompileError(f"region {region!r}: {exc}") from None
             regions[region] = rc
-            if region in ("main", "tail"):
-                # Later regions see the arrays that outlive this one.
-                if rc.rows is None:
-                    scope = rb.scope
-                else:
-                    scope = {c: _Val(f"v{c}", rb.scope[c].probe) for c in shared}
+            if region == "main":
+                # Later regions see the arrays that outlive the block loop.
+                scope = {c: _Val(f"v{c}", rb.scope[c].probe) for c in shared}
             for cid in rb.used_bind:
                 if cid in ctx.batch_dep:
                     used_batch.setdefault(region, set()).add(cid)

@@ -1,8 +1,8 @@
 """A small tensor IR for the mangll element kernels.
 
-The compiler (ROADMAP item 2, the ffcx blueprint) lowers each mangll
-operator — the dG right-hand side, the CG element kernels, the
-p-transfer contractions — into a graph of *typed tensor ops*:
+The compiler lowers each mangll operator — the dG right-hand side, the
+CG element kernels, the p-transfer contractions — into a graph of
+*typed tensor ops*:
 
 ``einsum``
     A contraction with explicit subscripts (the unit of specialization:
@@ -17,9 +17,10 @@ p-transfer contractions — into a graph of *typed tensor ops*:
     elastic lowering.  A planned region writes each plane in place and
     never runs the stack itself.
 ``extern``
-    A call into the flux-model object (kept for model kinds the
-    compiler does not lower; carries a *stage hint* so time-invariant
-    externs such as ``velocity(x)`` can still be hoisted).
+    A bind-time query of the flux model on bind-stage inputs (the
+    advection ``velocity(x)``, the elastic ``material(x)``).  Its value
+    is a bind table: a compiled kernel never calls the model, and an
+    extern with a run-stage input is a :class:`CompileError`.
 ``arg`` / ``table`` / ``barg`` / ``const``
     Leaves: runtime kernel arguments, bind-time global tables,
     bind-time per-mortar-batch values, and literal scalars.  A leaf may
@@ -60,6 +61,11 @@ LEAF_OPS = frozenset({"arg", "table", "barg", "const"})
 
 Attrs = Tuple[Tuple[str, Any], ...]
 
+
+class CompileError(RuntimeError):
+    """Raised when lowering/emission violates a compiler invariant."""
+
+
 #: Lead token of a declared leaf shape -> its extent in the two shape
 #: probes.  Consecutive integers, so a probed dimension pair ``(d0, d1)``
 #: that differs names its lead uniquely: ``k = d1 - d0`` rows-per-lead
@@ -92,8 +98,8 @@ class Stmt:
     """One ordered side effect.
 
     ``kind`` is ``"iop"`` (``target op= value`` with ``op`` in the
-    ``sym`` attr), ``"setitem"`` / ``"isetop"`` (``target[idx] = value``
-    or ``target[idx] op= value`` with the index expression in ``idx``),
+    ``sym`` attr), ``"setitem"`` (``target[idx] = value`` with the index
+    expression in ``idx``),
     ``"deposit"`` (stage ``value`` at the rows ``rows`` of the kernel's
     lift buffer), ``"lift"`` (apply every staged row to ``target``, in
     lift-buffer order), or ``"ret"``.
@@ -133,7 +139,7 @@ class Graph:
         return node.id
 
     def arg(self, name: str, shape: Optional[Shape] = None) -> int:
-        """A runtime kernel argument (``q_local``, ``q_all``, ``t``)."""
+        """A runtime kernel argument (``q_local``, ``q_all``)."""
         return self.add("arg", name=name, shape=shape)
 
     def table(self, name: str, shape: Optional[Shape] = None) -> int:
@@ -164,16 +170,14 @@ class Graph:
         """Equal-shaped inputs as the planes of one ``(len, ...)`` block."""
         return self.add("stack", tuple(inputs))
 
-    def extern(
-        self, method: str, *inputs: int, stage: str = "run", like: Optional[str] = None
-    ) -> int:
-        """A call into the flux model; ``stage="bind"`` marks it hoistable.
+    def extern(self, method: str, *inputs: int, like: str) -> int:
+        """``model.<method>(*inputs)``, evaluated once at bind.
 
         ``like`` is a template over the inputs giving an array shaped as
         the call's result — the shape probe's stand-in for the model,
         which does not exist at compile time.
         """
-        return self.add("extern", tuple(inputs), method=method, stage=stage, like=like)
+        return self.add("extern", tuple(inputs), method=method, like=like)
 
     # -- statements ---------------------------------------------------------
 
@@ -184,12 +188,6 @@ class Graph:
     def setitem(self, target: int, idx: str, value: int) -> None:
         """``target[idx] = value``."""
         self.stmts.append(Stmt("setitem", self._region, target, value, idx=idx))
-
-    def isetop(self, sym: str, target: int, idx: str, value: int) -> None:
-        """``target[idx] <sym>= value``."""
-        self.stmts.append(
-            Stmt("isetop", self._region, target, value, sym=sym, idx=idx)
-        )
 
     def deposit(self, rows: int, value: int) -> None:
         """Stage a face lift: ``value``'s rows go to rows ``rows`` of the
@@ -223,7 +221,7 @@ class Graph:
         """Ids of nodes that are targets of any mutating statement."""
         out = set()
         for s in self.stmts:
-            if s.kind in ("iop", "setitem", "isetop", "lift") and s.target is not None:
+            if s.kind in ("iop", "setitem", "lift") and s.target is not None:
                 out.add(s.target)
         return frozenset(out)
 

@@ -17,11 +17,12 @@ after the passes):
 
 2. :func:`infer_stages` — loop-invariant hoisting.  A node is
    ``bind``-stage when its value cannot depend on the runtime arguments
-   (``q_local``/``q_all``/``t``): leaves that read bind tables, pure
-   ops whose inputs are all bind-stage, and externs whose lowering
-   marked them time-invariant (``stage="bind"`` — e.g. the advection
-   ``velocity(x)`` table).  Bind-stage nodes are evaluated ONCE at
-   operator bind time by the interpreter in
+   (``q_local``/``q_all``): leaves that read bind tables, pure ops
+   whose inputs are all bind-stage, and every extern — a model query
+   such as the advection ``velocity(x)`` table, which must not see a
+   run-stage input (:class:`~repro.mangll.compiler.ir.CompileError`:
+   a kernel never calls the model).  Bind-stage nodes are evaluated
+   ONCE at operator bind time by the interpreter in
    :mod:`repro.mangll.compiler.emit` and enter the kernel as
    precomputed tables; everything downstream sees identical floats, so
    hoisting never changes results, only when they are computed.
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .ir import LEAF_OPS, PURE_OPS, Graph
+from .ir import LEAF_OPS, PURE_OPS, CompileError, Graph
 
 
 @dataclass
@@ -142,12 +143,12 @@ def infer_stages(g: Graph, remap: Dict[int, int]) -> Dict[int, str]:
             s = "bind"
         elif node.op == "arg":
             s = "run"
+        elif node.op == "extern" and (
+            node.id in taint or any(stage[remap[i]] != "bind" for i in node.inputs)
+        ):
+            raise CompileError(f"model.{node.attr('method')} (v{node.id}) would run in the kernel")
         elif node.id in taint:
             s = "run"
-        elif node.op == "extern":
-            hint = node.attr("stage", "run")
-            ins = all(stage[remap[i]] == "bind" for i in node.inputs)
-            s = "bind" if (hint == "bind" and ins) else "run"
         else:
             s = "bind" if all(stage[remap[i]] == "bind" for i in node.inputs) else "run"
         stage[node.id] = s

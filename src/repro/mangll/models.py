@@ -1,15 +1,17 @@
-"""Flux models for the dG solver: scalar advection and linear waves.
+"""The scalar advection flux model of the dG solver.
 
-The advection model implements the upwind nodal dG discretization of
+:class:`AdvectionModel` implements the upwind nodal dG discretization of
 equation (1) of the paper, ``dC/dt + u . grad C = 0``, in conservative
-form for divergence-free velocity fields.  The acoustic model is the
-simplest member of the velocity-strain family used by dGea (§IV-B); the
-full elastic model lives in :mod:`repro.apps.dgea`.
+form for divergence-free velocity fields.  The paper's other dG model,
+dGea's velocity-strain elastics (§IV-B, whose fluid regions are the
+same model with mu = 0), lives in :mod:`repro.apps.dgea`.  Both declare
+the ``lowering_kind`` the kernel compiler lowers them by
+(:func:`repro.mangll.compiler.model_kind`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -24,6 +26,8 @@ class AdvectionModel:
     the Dirichlet state on inflow boundary faces (default 0); outflow
     boundaries are handled by upwinding automatically.
     """
+
+    lowering_kind = "advection"
 
     def __init__(
         self,
@@ -67,54 +71,3 @@ class AdvectionModel:
     def max_wave_speed(self, q: np.ndarray, x: np.ndarray) -> np.ndarray:
         v = self.velocity(x)
         return np.linalg.norm(v, axis=-1).max(axis=-1)
-
-
-class AcousticModel:
-    """First-order acoustic system (p, u): dp/dt + c^2 rho div u = 0,
-    du/dt + grad p / rho = 0, with an exact upwind (Godunov) flux.
-
-    Fields: ``q = (p, u_1..u_dim)``.  Constant sound speed ``c`` and
-    density ``rho``; reflecting (p mirror) walls by default.
-    """
-
-    def __init__(self, dim: int, c: float = 1.0, rho: float = 1.0) -> None:
-        self.dim = dim
-        self.nfields = 1 + dim
-        self.c = c
-        self.rho = rho
-
-    def volume_flux(self, q: np.ndarray, x: np.ndarray) -> np.ndarray:
-        dim = self.dim
-        p = q[..., 0]
-        u = q[..., 1 : 1 + dim]
-        F = np.zeros(q.shape[:-1] + (self.nfields, dim))
-        F[..., 0, :] = self.rho * self.c**2 * u
-        for a in range(dim):
-            F[..., 1 + a, a] = p / self.rho
-        return F
-
-    def numerical_flux(self, qm, qp, n, x):
-        dim = self.dim
-        c, rho = self.c, self.rho
-        Z = rho * c
-        pm, pp = qm[..., 0], qp[..., 0]
-        unm = np.einsum("...c,...c->...", qm[..., 1 : 1 + dim], n[..., :dim])
-        unp = np.einsum("...c,...c->...", qp[..., 1 : 1 + dim], n[..., :dim])
-        # Exact Riemann (upwind) flux for the linear acoustic system.
-        pstar = 0.5 * (pm + pp) + 0.5 * Z * (unm - unp)
-        ustar = 0.5 * (unm + unp) + 0.5 * (pm - pp) / Z
-        out = np.zeros_like(qm)
-        out[..., 0] = rho * c**2 * ustar
-        out[..., 1 : 1 + dim] = (pstar / rho)[..., None] * n[..., :dim]
-        return out
-
-    def boundary_state(self, qm, n, x, t):
-        # Rigid wall: mirror the normal velocity, keep pressure.
-        dim = self.dim
-        un = np.einsum("...c,...c->...", qm[..., 1 : 1 + dim], n[..., :dim])
-        qp = qm.copy()
-        qp[..., 1 : 1 + dim] -= 2 * un[..., None] * n[..., :dim]
-        return qp
-
-    def max_wave_speed(self, q, x):
-        return np.full(q.shape[0], self.c)

@@ -12,18 +12,21 @@ Binding chooses between two interchangeable executions:
 * **compiled** (the default) — the spec is lowered through
   :mod:`repro.mangll.compiler` into a specialized flat NumPy kernel per
   ``(dim, degree, nfields, model-kind)``, with mesh- and model-dependent
-  invariants (metric terms, face masks, material coefficients) hoisted
-  into a bind-time ``P`` dict.  Compiled kernels are bit-identical to
-  the interpreted reference — except the elastic kind, whose fast path
-  is mathematically equivalent under a documented <= 1e-13 relative
-  tolerance (see docs/KERNELS.md) — and communication-free by
+  invariants (metric terms, face masks, velocity and material
+  coefficients) hoisted into a bind-time ``P`` dict: the kernel never
+  calls the model.  Only a model whose class declares its own
+  ``lowering_kind`` compiles; any other raises ``TypeError`` at bind.
+  Compiled kernels are bit-identical to the interpreted reference —
+  except the elastic kind, whose fast path is mathematically
+  equivalent under a documented <= 1e-13 relative tolerance (see
+  docs/KERNELS.md) — and communication-free by
   construction (an AST guard enforces it); the one ghost exchange per
   ``rhs`` stays in this frontend, where the collective sanitizer and
   spmdlint can see it.
 * **interpreted** (``compile=False`` on the spec) — the bound operator
   runs the hand-written reference implementation (``DGSolver`` /
   ``CGSpace`` / ``transfer_nodal_fields``) the compiled kernels are
-  tested against.
+  tested against, for any flux model.
 
 Compilation and bind-evaluation run inside the ``Compile`` trace phase;
 operator application keeps the reference's phase labels (``Apply``,
@@ -33,9 +36,8 @@ modes.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -77,54 +79,6 @@ class MeshContext:
     ln: Any = None
 
 
-# --- Frozen-material memoization (generic dG kinds) -------------------------
-
-
-class _MemoMaterial:
-    """Identity-keyed memo around a material coefficient callable.
-
-    Generic (extern-call) dG kernels evaluate the model's methods
-    against *bind-time-stable* coordinate arrays: the volume ``x`` table
-    and each face batch's ``xf`` are hoisted once and reused every
-    ``rhs``.  Materials are functions of position only, so evaluating
-    ``material(x)`` on the same array object always yields the same
-    coefficients — this proxy caches per array identity, turning the
-    dominant per-step cost of table-lookup materials (e.g. PREM
-    ``np.interp`` profiles) into a bind-time cost.
-
-    The memo stores ``(x, value)`` and checks ``hit is x`` so a
-    recycled ``id()`` can never alias a dead array.
-    """
-
-    def __init__(self, material: Callable[[np.ndarray], Any]) -> None:
-        self._material = material
-        self._memo: Dict[int, Tuple[np.ndarray, Any]] = {}
-
-    def __call__(self, x: np.ndarray) -> Any:
-        hit = self._memo.get(id(x))
-        if hit is not None and hit[0] is x:
-            return hit[1]
-        val = self._material(x)
-        self._memo[id(x)] = (x, val)
-        return val
-
-
-def _freeze_material(model: Any) -> Any:
-    """A shallow model copy whose ``material`` memoizes by array identity.
-
-    Only applies to models carrying a ``material`` callable (the
-    elastic/acoustic-coupled family); everything else is returned
-    unchanged.  The copy leaves the caller's model untouched — the
-    bound operator owns the memo and its lifetime.
-    """
-    material = getattr(model, "material", None)
-    if not callable(material) or isinstance(material, _MemoMaterial):
-        return model
-    frozen = copy.copy(model)
-    frozen.material = _MemoMaterial(material)
-    return frozen
-
-
 # --- dG ---------------------------------------------------------------------
 
 
@@ -133,7 +87,8 @@ class DGOperator:
     """Spec for the semi-discrete dG operator ``dq/dt = L(q, t)``.
 
     ``compile=False`` binds the interpreted reference instead of the
-    compiled kernel.
+    compiled kernel; it is the only way to run a model whose class does
+    not declare its own ``lowering_kind``.
     """
 
     model: Any
@@ -169,23 +124,13 @@ class BoundDGOperator:
         self.solver = DGSolver(space, model, comm)
         self._kernel: Optional[Callable[..., np.ndarray]] = None
         self._P: Optional[Dict[str, Any]] = None
-        self._run_model = model
         if compile:
             with phase(PHASE_COMPILE):
                 kind = kc.model_kind(model)
                 compiled = kc.compile_dg_rhs(
                     space.dim, space.degree, model.nfields, kind
                 )
-                # Generic kernels call back into the model at run time
-                # (extern fluxes) on the hoisted coordinate tables;
-                # memoizing material(x) by array identity makes those
-                # calls hit the bind-time coefficients.  The elastic
-                # kernel never calls the model: it needs the memo at
-                # bind only, where material(x) is evaluated once per
-                # hoisted coordinate table.
-                if kind in ("generic", "elastic"):
-                    self._run_model = _freeze_material(model)
-                self._P = kc.prepare_dg_rhs(compiled, self.solver, self._run_model)
+                self._P = kc.prepare_dg_rhs(compiled, self.solver, model)
                 self._kernel = compiled.fn("kernel")
                 self.kernel_key = compiled.key
 
@@ -201,7 +146,11 @@ class BoundDGOperator:
 
     @collective("method", "rhs")
     def rhs(self, q_local: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Evaluate dq/dt (collective: one ghost exchange)."""
+        """Evaluate dq/dt (collective: one ghost exchange).
+
+        Only the interpreted reference reads ``t``: neither lowered kind
+        depends on time.
+        """
         if self._kernel is None:
             return self.solver.rhs(q_local, t)
         with phase(PHASE_APPLY):
@@ -209,7 +158,7 @@ class BoundDGOperator:
             if squeeze:
                 q_local = q_local[..., None]
             q_all = self.space.exchange_ghost_fields(self.comm, q_local)
-            r = self._kernel(q_local, q_all, t, self._P, self._run_model)
+            r = self._kernel(q_local, q_all, self._P)
             return r[..., 0] if squeeze else r
 
     @collective("method", "stable_dt")

@@ -25,7 +25,7 @@ from repro.mangll.compiler import (
 from repro.mangll.compiler.cache import fingerprint
 from repro.mangll.geometry import MultilinearGeometry
 from repro.mangll.mesh import build_mesh
-from repro.mangll.models import AcousticModel, AdvectionModel
+from repro.mangll.models import AdvectionModel
 from repro.mangll.op import (
     CGOperator,
     DGOperator,
@@ -38,7 +38,7 @@ from repro.p4est.builders import rotcubes, unit_cube, unit_square
 from repro.p4est.forest import Forest
 from repro.p4est.ghost import build_ghost
 from repro.p4est.nodes import lnodes
-from repro.parallel import Machine, RunConfig, SerialComm
+from repro.parallel import RunConfig, SerialComm
 from repro.parallel.collectives import collective_spec
 
 CONNS = {2: unit_square, 3: unit_cube}
@@ -58,10 +58,17 @@ def make_ctx(dim, degree, *, ln_too=False, conn_fn=None, seed=0):
     return MeshContext(forest, ghost, mesh, comm, ln)
 
 
+def swirl(x):
+    """A position-dependent velocity: the hoisted table is not constant."""
+    v = [1.0 + 0.3 * x[..., 1], 0.5 - 0.2 * x[..., 0], 0.25 + 0.1 * x[..., 0]]
+    return np.stack(v[: x.shape[-1]], axis=-1)
+
+
 def make_model(name, dim):
     if name == "advection":
         return AdvectionModel(dim, np.linspace(0.5, 1.0, dim))
-    return AcousticModel(dim, c=1.3, rho=0.7)
+    assert name == "advection_field"
+    return AdvectionModel(dim, swirl, inflow=0.25)
 
 
 def random_q(ctx, model, seed=7):
@@ -75,7 +82,7 @@ def random_q(ctx, model, seed=7):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
-@pytest.mark.parametrize("model_name", ["advection", "acoustic"])
+@pytest.mark.parametrize("model_name", ["advection", "advection_field"])
 def test_dg_rhs_bit_identical(dim, degree, model_name):
     if dim == 3 and degree == 5:
         ctx = make_ctx(dim, degree, seed=2)  # keep the 216-point mesh small
@@ -97,35 +104,47 @@ def test_dg_rhs_bit_identical(dim, degree, model_name):
 def test_dg_rhs_bit_identical_rotated_trees():
     """Rotated inter-tree faces (the hard orientation path) stay exact."""
     ctx = make_ctx(3, 3, conn_fn=rotcubes, seed=4)
-    model = make_model("acoustic", 3)
+    model = make_model("advection_field", 3)
     q = random_q(ctx, model)
     got = DGOperator(model, 3).bind(ctx).rhs(q, 0.2)
     want = DGOperator(model, 3, compile=False).bind(ctx).rhs(q, 0.2)
     assert np.array_equal(got, want)
 
 
-def test_dg_generic_model_bit_identical():
-    """A model the lowerer doesn't special-case runs through ``extern``
-    calls and stays bit-identical to the interpreted reference."""
+class Wrapped:
+    """A duck-typed advection model whose class declares no lowering kind."""
 
-    class WrappedAdvection:
-        """Duck-typed model the lowerer cannot recognize."""
+    def __init__(self, dim):
+        self._m = make_model("advection_field", dim)
+        self.dim, self.nfields = dim, 1
 
-        def __init__(self, dim):
-            self._m = AdvectionModel(dim, np.linspace(0.5, 1.0, dim))
-            self.dim = dim
-            self.nfields = self._m.nfields
+    def __getattr__(self, name):
+        return getattr(self._m, name)
 
-        def __getattr__(self, name):
-            return getattr(self._m, name)
 
-    ctx = make_ctx(2, 3)
-    model = WrappedAdvection(2)
-    assert kc.model_kind(model) == "generic"
-    compiled = DGOperator(model, 3).bind(ctx)
-    interp = DGOperator(model, 3, compile=False).bind(ctx)
-    q = random_q(ctx, model)
-    assert np.array_equal(compiled.rhs(q, 0.1), interp.rhs(q, 0.1))
+class Steered(AdvectionModel):
+    """An advection subclass with its own physics and no ``lowering_kind``
+    of its own: lowering the inherited kind would ignore the override."""
+
+    def boundary_state(self, qm, n, x, t):
+        return qm
+
+
+def test_compile_rejects_a_model_without_its_own_lowering_kind():
+    """Only a model whose own class declares a kind compiles; the rest
+    run interpreted, and ``compile=False`` is the way to ask for that."""
+    dim = 2
+    ctx = make_ctx(dim, 2)
+    wrapped = Wrapped(dim)
+    with pytest.raises(TypeError, match="compile=False"):
+        DGOperator(wrapped, 2).bind(ctx)
+    q = random_q(ctx, wrapped)
+    want = DGOperator(wrapped._m, 2, compile=False).bind(ctx).rhs(q, 0.1)
+    assert np.array_equal(DGOperator(wrapped, 2, compile=False).bind(ctx).rhs(q, 0.1), want)
+    steered = Steered(dim, np.linspace(0.5, 1.0, dim))
+    with pytest.raises(TypeError, match="Steered"):
+        DGOperator(steered, 2).bind(ctx)
+    DGOperator(steered, 2, compile=False).bind(ctx).rhs(q, 0.1)
 
 
 @pytest.mark.parametrize("bc", ["free", "mirror"])
@@ -163,7 +182,7 @@ def test_dg_elastic_model_tolerance_and_material_hoisted(dim, bc):
         assert np.abs(rc - ri).max() <= 1e-13 * np.abs(ri).max()
     warm = calls["n"]
     compiled.rhs(q, 0.2)
-    assert calls["n"] == warm  # memoized: no material calls on reapply
+    assert calls["n"] == warm  # hoisted: the kernel never calls the model
     interp.rhs(q, 0.2)
     assert calls["n"] > warm  # the reference re-evaluates every time
 
@@ -367,8 +386,8 @@ def test_cache_concurrent_writers_publish_complete_files(tmp_path):
 def test_generated_source_is_communication_free(tmp_path):
     cache = KernelCache(str(tmp_path))
     for compiled in (
-        kc.compile_dg_rhs(2, 3, 3, "acoustic", cache=cache),
-        kc.compile_dg_rhs(2, 3, 5, "generic", cache=cache),
+        kc.compile_dg_rhs(2, 3, 1, "advection", cache=cache),
+        kc.compile_dg_rhs(2, 3, 5, "elastic", cache=cache),
         kc.compile_cg_elem(2, 2, cache=cache),
         kc.compile_transfer(2, 2, cache=cache),
     ):
@@ -385,6 +404,24 @@ def test_communication_guard_rejects_comm_calls():
         with pytest.raises(CompileError, match="communication-free"):
             assert_communication_free(bad, "test-key")
     assert_communication_free("def kernel(q):\n    return q * 2\n", "ok-key")
+
+
+def test_a_kernel_model_call_or_an_unplanned_region_is_a_compile_error():
+    """A model query must be bind-stage, and ``main`` must be planned:
+    neither falls back to a kernel that calls the model or runs plain."""
+    from repro.mangll.compiler.emit import analyze
+    from repro.mangll.compiler.ir import Graph
+
+    g = Graph()
+    q = g.arg("q_local", ("e", 4, 1))
+    v = g.extern("velocity", q, like="np.ones({0}.shape)")
+    g.ret(g.pw("{0} * {1}", q, v))
+    with pytest.raises(CompileError, match="velocity"):
+        analyze(g)
+    g = Graph()
+    g.ret(g.pw("2.0 * {0}", g.arg("q_local")))  # no declared shape: no blocks
+    with pytest.raises(CompileError, match="'main'"):
+        analyze(g)
 
 
 # --- op frontend surface ----------------------------------------------------
@@ -410,8 +447,8 @@ def test_bound_dg_operator_is_collective_stamped():
 
 def test_dg_operator_exposes_kernel_key():
     ctx = make_ctx(2, 3)
-    op = DGOperator(make_model("acoustic", 2), 3).bind(ctx)
-    assert op.kernel_key == "dg_rhs-d2-p3-f3-acoustic"
+    op = DGOperator(make_model("advection", 2), 3).bind(ctx)
+    assert op.kernel_key == "dg_rhs-d2-p3-f1-advection"
     assert op.dim == 2 and op.degree == 3
 
 
@@ -461,12 +498,11 @@ def test_compiled_rhs_matches_interpreted_across_ranks():
         ghost = build_ghost(forest)
         mesh = build_mesh(forest, MultilinearGeometry(conn), 3, ghost)
         ctx = MeshContext(forest, ghost, mesh, comm)
-        model = AcousticModel(2, c=1.1, rho=0.9)
+        model = AdvectionModel(2, swirl, inflow=0.25)
         nl = mesh.nelem_local
         x = mesh.coords[:nl]
         q = np.zeros((nl, mesh.npts, model.nfields))
         q[..., 0] = np.sin(3 * x[..., 0]) * np.cos(2 * x[..., 1])
-        q[..., 1] = x[..., 0] * x[..., 1]
         got = DGOperator(model, 3).bind(ctx).rhs(q, 0.1)
         want = DGOperator(model, 3, compile=False).bind(ctx).rhs(q, 0.1)
         return bool(np.array_equal(got, want))

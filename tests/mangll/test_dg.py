@@ -7,7 +7,7 @@ import pytest
 from repro.mangll.dgops import BOUNDARY, COARSE, CONFORMING, FINE, DGSpace
 from repro.mangll.geometry import BrickGeometry, MultilinearGeometry, ShellGeometry
 from repro.mangll.mesh import build_mesh, face_node_indices
-from repro.mangll.models import AcousticModel, AdvectionModel
+from repro.mangll.models import AdvectionModel
 from repro.mangll.op import DGOperator, MeshContext
 from repro.mangll.rk import lsrk45_integrate, lsrk45_step
 from repro.p4est.balance import balance
@@ -286,35 +286,6 @@ def test_advection_convergence_with_level():
     e2 = gaussian_advect_error(3, 3)
     rate = np.log2(e1 / e2)
     assert rate > 3.0, (e1, e2, rate)  # ~N+1 for smooth data
-
-
-def test_acoustic_energy_decay_and_rigid_walls():
-    """Upwind acoustics: energy is non-increasing; rigid walls reflect."""
-    conn = unit_square()
-    forest, ghost, mesh, space = make_space(conn, SerialComm(), 2, 3)
-    model = AcousticModel(2, c=1.0, rho=1.0)
-    solver = make_solver(forest, ghost, mesh, model, SerialComm())
-    nl = mesh.nelem_local
-    x = mesh.coords[:nl]
-    q = np.zeros((nl, mesh.npts, 3))
-    q[..., 0] = np.exp(-60 * ((x[..., 0] - 0.5) ** 2 + (x[..., 1] - 0.5) ** 2))
-
-    def energy(qq):
-        p = qq[..., 0]
-        u = qq[..., 1:]
-        dens = 0.5 * (p**2 / (model.rho * model.c**2) + model.rho * (u**2).sum(-1))
-        wdet = mesh.detj[:nl] * mesh.weights[None, :]
-        return float((wdet * dens).sum())
-
-    e0 = energy(q)
-    dt = solver.stable_dt(q, cfl=0.3)
-    es = [e0]
-    for _ in range(40):
-        q = lsrk45_step(q, 0.0, dt, lambda u, t: solver.rhs(u, t))
-        es.append(energy(q))
-    assert all(es[i + 1] <= es[i] + 1e-12 for i in range(len(es) - 1))
-    # Waves should still be present (rigid walls, little dissipation).
-    assert es[-1] > 0.3 * e0
 
 
 def test_advection_on_shell_conserves():

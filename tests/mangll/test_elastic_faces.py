@@ -9,6 +9,8 @@ compiled kernel never calls the model.  Every face region deposits into
 the lift buffer and the tail lifts it once, like the bit-exact kinds.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -115,12 +117,17 @@ def test_ghost_partner_rows_stay_one_sided(P, bc):
 
 
 def test_elastic_kernel_source_calls_no_model_and_lifts_once():
-    an = kc.compile_dg_rhs(3, DEGREE, 9, "elastic").analyses["kernel"]
-    src = emit.Emitter(an).emit("kernel", ("q_local", "q_all", "t", "P", "model"))
-    assert "model." not in src
-    assert 'B["u' not in src
-    assert src.count(".at(") == 1 and "np.subtract.at(" in src
-    assert [name for name, rc in an.regions.items() if rc.rows is None] == ["tail"]
+    """Neither kind's kernel calls the model, and every region but the
+    tail is planned, in 2D and 3D at degrees 1 to 8."""
+    for kind, dim, degree in itertools.product(("advection", "elastic"), (2, 3), range(1, 9)):
+        nf = 1 if kind == "advection" else dim + dim * (dim + 1) // 2
+        an = kc.compile_dg_rhs(dim, degree, nf, kind).analyses["kernel"]
+        src = emit.Emitter(an).emit("kernel", ("q_local", "q_all", "P"))
+        case = (kind, dim, degree)
+        assert "model." not in src, case
+        assert 'B["u' not in src, case
+        assert src.count(".at(") == 1 and "np.subtract.at(" in src, case
+        assert [name for name, rc in an.regions.items() if rc.rows is None] == ["tail"], case
 
 
 def test_rhs_runs_without_the_model_flux_methods(monkeypatch):
@@ -132,7 +139,6 @@ def test_rhs_runs_without_the_model_flux_methods(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the compiled elastic kernel called the model")
 
-    for model in (op.model, op._run_model):
-        for name in ("boundary_state", "numerical_flux", "volume_flux"):
-            monkeypatch.setattr(model, name, refuse)
+    for name in ("boundary_state", "numerical_flux", "volume_flux"):
+        monkeypatch.setattr(op.model, name, refuse)
     assert np.array_equal(op.rhs(q, 0.2), before)

@@ -5,7 +5,7 @@ on two fixed meshes.  Here Hypothesis draws the case: dimension, degree,
 model kind, the forest (one tree, several, rotated tree links, the shell,
 periodic bricks) and a random refinement pattern that balance
 turns into hanging faces.  The contract per kind is the compiler's own:
-``np.array_equal`` for the kinds whose every float is the reference's,
+``np.array_equal`` for advection, whose every float is the reference's,
 <= 1e-13 relative for the restructured elastic kind.
 """
 
@@ -24,7 +24,7 @@ from repro.mangll.geometry import (  # noqa: E402
     ShellGeometry,
 )
 from repro.mangll.mesh import build_mesh  # noqa: E402
-from repro.mangll.models import AcousticModel, AdvectionModel  # noqa: E402
+from repro.mangll.models import AdvectionModel  # noqa: E402
 from repro.mangll.op import DGOperator, MeshContext  # noqa: E402
 from repro.p4est.balance import balance  # noqa: E402
 from repro.p4est.builders import (  # noqa: E402
@@ -79,21 +79,8 @@ def fluid_band_material(x):
     return rho, lam, np.where(np.sin(np.pi * (x[..., 0] - x[..., 1])) > 0.3173, 0.0, mu)
 
 
-class _Wrapped:
-    """An advection model the lowerer cannot recognize: the generic kind."""
-
-    def __init__(self, dim):
-        self._m = AdvectionModel(dim, swirl, inflow=0.25)
-        self.dim, self.nfields = dim, 1
-
-    def __getattr__(self, name):
-        return getattr(self._m, name)
-
-
 MODELS = {
     "advection": lambda dim: AdvectionModel(dim, swirl, inflow=0.25),
-    "acoustic": lambda dim: AcousticModel(dim, c=1.3, rho=0.7),
-    "generic": _Wrapped,
     "elastic": lambda dim: ElasticModel(dim, graded_material, bc="mirror"),
     "elastic-free-fluid": lambda dim: ElasticModel(dim, fluid_band_material, bc="free"),
 }
