@@ -4,16 +4,17 @@
 outward face on each axis and, in 3D, the three edges outward on both
 transverse axes.  ``reference_flags`` below is the classification it
 replaced: the same-size region in every face and edge direction of every
-element, routed through the macro links, classified against the combined
-local + ghost leaves, then the rule that an edge adjacent to a hanging
-face hangs with it.  Both must flag the same faces and edges on every
+element, routed through the macro links by ``test_link_table``'s
+per-group loop, classified against the combined local + ghost leaves,
+then the rule that an edge adjacent to a hanging face hangs with it.  Both must flag the same faces and edges on every
 rank, and the numbering must not depend on the partition.
 
 ``lnodes`` builds the slot keys from a slot-incidence table and
 canonicalizes only the distinct in-tree keys.  ``reference_numbering``
 below is what that replaced: a loop over the slots and the faces and
-edges each lies on, then every slot key canonicalized and deduplicated
-with ``np.unique``.  Both must give the same keys and element nodes.
+edges each lies on, then every slot key canonicalized by
+``test_link_table``'s per-group loop and deduplicated with
+``np.unique``.  Both must give the same keys and element nodes.
 """
 
 from typing import List
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p4est.balance import balance, route_exterior_indexed
+from repro.p4est.balance import balance
 from repro.p4est.builders import unit_cube, unit_square
 from repro.p4est.connectivity import (
     edge_axis,
@@ -33,10 +34,11 @@ from repro.p4est.connectivity import (
 )
 from repro.p4est.forest import Forest
 from repro.p4est.ghost import build_ghost
-from repro.p4est.nodes import _canonicalize_keys, _edge_adjacent_faces, lnodes
+from repro.p4est.nodes import _edge_adjacent_faces, lnodes
 from repro.p4est.octant import Octants, is_ancestor_pairwise, searchsorted_octants
 from repro.parallel import SerialComm
 from tests.p4est.test_balance_rounds import CONNS, _cuts, octant_marks
+from tests.p4est.test_link_table import reference_canonicalize, reference_route
 from tests.parallel.helpers import run as spmd
 
 BOUNDARY, CONFORMING, COARSER = 0, 1, 2
@@ -70,7 +72,7 @@ def _batch_region_config(conn, combined, elems, offsets) -> np.ndarray:
             tags.append(d * nelem + idx_in)
         idx_out = np.flatnonzero(~inside)
         if len(idx_out):
-            for gidx, regs in route_exterior_indexed(conn, nb[idx_out], idx_out):
+            for gidx, regs in reference_route(conn, nb[idx_out], idx_out):
                 parts.append(regs)
                 tags.append(d * nelem + gidx)
     cfg = np.full(len(offsets) * nelem, BOUNDARY, dtype=np.int8)
@@ -129,7 +131,7 @@ def reference_numbering(conn, elems, hanging_face, hanging_edge, N):
             par = N * (x_cols[a] & ~(2 * h - 1)) + iv[a] * 2 * h
             keys[:, s, a] = np.where(parent_axes[:, a], par, own)
     rows = np.column_stack([np.repeat(elems.tree.astype(np.int64), nslots), keys.reshape(-1, 3)])
-    uniq, inverse = np.unique(_canonicalize_keys(conn, rows, N), axis=0, return_inverse=True)
+    uniq, inverse = np.unique(reference_canonicalize(conn, rows, N), axis=0, return_inverse=True)
     return uniq, inverse.reshape(nelem, nslots)
 
 
