@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p4est.balance import (
-    balance,
-    corner_index,
-    edge_index,
-    generate_neighbor_regions,
-    is_balanced,
-)
+from repro.p4est.balance import balance, generate_neighbor_regions, is_balanced
+from repro.p4est.connectivity import corner_index, edge_index
 from repro.p4est.builders import (
     brick_2d,
     brick_3d,

@@ -259,7 +259,8 @@ def test_is_balanced_keeps_full_generation():
 def test_route_exterior_indexed_empty():
     for conn in (moebius(), rotcubes()):
         ext = Octants.empty(conn.dim)
-        assert route_exterior_indexed(conn, ext, np.empty(0, dtype=np.int64)) == []
+        src, img = route_exterior_indexed(conn, ext, np.empty(0, dtype=np.int64))
+        assert len(src) == 0 and img == Octants.empty(conn.dim)
 
 
 def _op_stats(comm):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.p4est.balance import route_exterior_indexed
 from repro.p4est.bits import DIM2, DIM3
 from repro.p4est.builders import (
     brick_2d,
@@ -287,19 +288,25 @@ def test_face_transform_maps_boundary_octants_inside(builder):
         assert back.octant(0) == o.octant(0)
 
 
+def _route_one(conn, octant):
+    """Link images of one exterior octant, as Octant records."""
+    o = Octants.from_octants(conn.dim, [octant])
+    src, img = route_exterior_indexed(conn, o, np.zeros(1, dtype=np.int64))
+    assert (src == 0).all() and img.inside_root().all()
+    return [img.octant(i) for i in range(len(img))]
+
+
 def test_edge_link_seed_octants():
     conn = brick_3d(2, 2, 1)
     L = DIM3.root_len
     level = 3
     h = L >> level
-    # Tree 0's edge 11 (x=1, y=1 vertical interior edge); an octant touching
-    # it from inside tree 0 sits at (L-h, L-h, z).
-    o = Octants.from_octants(3, [Octant(0, L - h, L - h, 2 * h, level)])
-    for link in conn.edge_links[(0, 11)]:
-        seed = link.seed_octants(o, L)
-        s = seed.octant(0)
-        assert seed.inside_root()[0]
-        assert s.tree == link.nb_tree
+    # Tree 0's edge 11 (x=1, y=1 vertical interior edge); the octant across
+    # it from one inside tree 0 at (L-h, L-h, z) sits at (L, L, z).
+    images = _route_one(conn, Octant(0, L, L, 2 * h, level))
+    links = conn.edge_links[(0, 11)]
+    assert [s.tree for s in images] == [link.nb_tree for link in links]
+    for s, link in zip(images, links):
         assert s.z == 2 * h  # along-edge coordinate preserved (no flips here)
         sides = edge_transverse_sides(link.nb_edge)
         for ax, side in sides.items():
@@ -315,19 +322,20 @@ def test_edge_link_flip():
     L = DIM3.root_len
     h = L >> 2
     flipped = [
-        (key, l) for key, links in conn.edge_links.items() for l in links if l.flipped
+        (key, i) for key, links in conn.edge_links.items()
+        for i, l in enumerate(links) if l.flipped
     ]
     assert flipped, "rotcubes should contain at least one flipped edge link"
-    (k, e), link = flipped[0]
+    (k, e), i = flipped[0]
+    link = conn.edge_links[(k, e)][i]
     a = edge_axis(e)
     coords = [0, 0, 0]
     sides = edge_transverse_sides(e)
     for ax, side in sides.items():
-        coords[ax] = 0 if side == 0 else L - h
+        coords[ax] = -h if side == 0 else L
     coords[a] = h
-    o = Octants.from_octants(3, [Octant(k, *coords, 2)])
-    seed = link.seed_octants(o, L)
-    s = seed.octant(0)
+    s = _route_one(conn, Octant(k, *coords, 2))[i]
+    assert s.tree == link.nb_tree
     a2 = edge_axis(link.nb_edge)
     assert (s.x, s.y, s.z)[a2] == L - h - h
 
@@ -340,11 +348,9 @@ def test_corner_link_seed():
     # Tree 0's corner 3 is the brick center, shared with trees 1, 2, 3.
     links = conn.corner_links[(0, 3)]
     assert {l.nb_tree for l in links} == {1, 2, 3}
-    o = Octants.from_octants(2, [Octant(0, L - h, L - h, 0, 2)])
-    for link in links:
-        seed = link.seed_octants(o, L)
-        s = seed.octant(0)
-        assert seed.inside_root()[0]
+    images = _route_one(conn, Octant(0, L, L, 0, 2))
+    assert [s.tree for s in images] == [link.nb_tree for link in links]
+    for s, link in zip(images, links):
         expect = corner_coords(2, link.nb_corner, L)
         assert s.x == (0 if expect[0] == 0 else L - h)
         assert s.y == (0 if expect[1] == 0 else L - h)
