@@ -20,13 +20,12 @@ launch while the process backend runs rank compute truly in parallel
 from repro.parallel.backend import (
     MAX_RANKS,
     Backend,
-    MeteredComm,
     RankOutcome,
     SpmdError,
     SpmdReport,
     get_backend,
 )
-from repro.parallel.comm import Comm, CommDecorator, SerialComm
+from repro.parallel.comm import Comm, CommDecorator, MeteredComm, SerialComm
 from repro.parallel.faults import Fault, FaultPlan, FaultyComm, InjectedFailure
 from repro.parallel.layers import (
     LAYER_ORDER,

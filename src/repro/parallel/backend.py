@@ -2,16 +2,12 @@
 
 The paper's algorithms are backend-agnostic: a rank program talks only to
 its :class:`~repro.parallel.comm.Comm`.  This module defines the contract
-an execution backend fulfils to run ``P`` such programs concurrently:
+an execution backend fulfils to run ``P`` such programs concurrently.
+Every backend's communicator subclasses
+:class:`~repro.parallel.comm.MeteredComm`, the one collective frontend,
+and supplies only its transport, so accounting is byte-exact across
+backends by construction.  The module holds:
 
-* :class:`MeteredComm` — the shared *collective frontend*.  Every
-  collective's argument validation, :class:`~repro.parallel.stats.CommStats`
-  metering, and combine logic live here, implemented over three
-  transport primitives (:meth:`MeteredComm._wait`,
-  :meth:`MeteredComm._collect` and :meth:`MeteredComm._route`).
-  Because both the thread and the process backend reuse this frontend
-  verbatim, message and byte accounting is byte-exact across backends
-  *by construction*.
 * :class:`Backend` — one launch strategy.  ``run_attempt`` executes a
   single attempt of ``size`` ranks and reports outcomes or the first
   failure; the retry loop of resilient runs lives above it in
@@ -21,19 +17,15 @@ an execution backend fulfils to run ``P`` such programs concurrently:
   :class:`~repro.parallel.process_backend.ProcessBackend`.
 
 :class:`SpmdError`, :class:`RankOutcome` and :class:`SpmdReport` are
-defined here because every backend produces them; the historical import
-paths in :mod:`repro.parallel.machine` re-export them unchanged.
+defined here, and only here, because every backend produces them.
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.parallel.comm import Comm
-from repro.parallel.ops import SUM, ReduceOp, identity_for, payload_nbytes
 from repro.parallel.stats import CommStats
 
 MAX_RANKS = 1024
@@ -70,198 +62,6 @@ class SpmdError(RuntimeError):
     def __setstate__(self, state: Dict[str, Any]) -> None:
         """Restore the chained cause recorded by :meth:`__reduce__`."""
         self.__cause__ = state.get("__cause__")
-
-
-class MeteredComm(Comm):
-    """Collective frontend shared by every multi-rank backend.
-
-    Subclasses provide the transport: :meth:`_wait` synchronizes all
-    ranks once, :meth:`_collect` runs one two-phase collective (deposit a
-    contribution, combine the full slot list, read the result), and
-    :meth:`_route` delivers personalized items (``exchange``,
-    ``alltoall``, ``scatter``) so each rank receives only its own.  The
-    frontend performs all argument validation and meters every operation
-    into :attr:`stats` with identical message/byte arithmetic regardless
-    of transport, so :class:`~repro.parallel.stats.CommStats` compare
-    equal between backends for the same program.
-
-    ``compute_seconds`` accumulates this rank's CPU time spent *outside*
-    communication (measured with ``time.thread_time`` so blocked waits
-    do not count), exactly as the original thread machine did.
-    """
-
-    def __init__(self, rank: int, size: int) -> None:
-        """Initialize metering state for ``rank`` of a ``size``-rank run."""
-        self.rank = rank
-        self.size = size
-        self.stats = CommStats()
-        self.compute_seconds = 0.0
-        self._mark = time.thread_time()
-
-    # Transport primitives (subclass responsibility) -----------------------
-
-    @abstractmethod
-    def _wait(self) -> int:
-        """One synchronization round; returns 0 on exactly one rank."""
-
-    @abstractmethod
-    def _collect(self, contribution: Any, combine: Callable[[List[Any]], Any]) -> Any:
-        """Two-phase collective: deposit, combine the slot list, read."""
-
-    def _route(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
-        """Deliver ``outbox[d]`` to rank ``d``; return ``{src: item}`` for this rank.
-
-        The default is one :meth:`_collect` and a pick of this rank's item
-        from every outbox (free over the thread backend's shared slots);
-        the process backend routes, so a rank receives only its inbox.
-        """
-        boxes = self._collect(outbox, lambda slots: slots)
-        return {src: box[self.rank] for src, box in enumerate(boxes) if self.rank in box}
-
-    # Internal machinery ---------------------------------------------------
-
-    def _begin(self) -> None:
-        """Flush compute time accumulated since the last operation ended."""
-        now = time.thread_time()
-        self.compute_seconds += now - self._mark
-
-    def _end(self) -> None:
-        """Restart the compute clock as an operation returns."""
-        self._mark = time.thread_time()
-
-    def _check_root(self, root: int) -> None:
-        """Validate a collective's root rank."""
-        if not 0 <= root < self.size:
-            raise ValueError(f"root {root} out of range for size-{self.size} comm")
-
-    # Collectives ----------------------------------------------------------
-
-    def barrier(self) -> None:
-        """Block until every rank has entered the barrier."""
-        self._begin()
-        self.stats.record("barrier", 0, 0)
-        self._wait()
-        self._wait()
-        self._end()
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast ``obj`` from ``root``; every rank returns root's value."""
-        self._begin()
-        self._check_root(root)
-        sent = payload_nbytes(obj) if self.rank == root else 0
-        self.stats.record("bcast", self.size - 1 if self.rank == root else 0, sent)
-        result = self._collect(obj if self.rank == root else None, lambda slots: slots[root])
-        self._end()
-        return result
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Gather one value per rank; ``root`` returns the list, others ``None``."""
-        self._begin()
-        self._check_root(root)
-        self.stats.record("gather", 0 if self.rank == root else 1, payload_nbytes(obj))
-        result = self._collect(obj, list)
-        self._end()
-        return result if self.rank == root else None
-
-    def scatter(self, objs: Optional[List[Any]], root: int = 0) -> Any:
-        """Scatter ``objs[r]`` (given at ``root``) to each rank ``r``."""
-        self._begin()
-        self._check_root(root)
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError("scatter requires a list of one value per rank at root")
-            sent = sum(payload_nbytes(o) for i, o in enumerate(objs) if i != root)
-            self.stats.record("scatter", self.size - 1, sent)
-        else:
-            self.stats.record("scatter", 0, 0)
-        inbox = self._route(dict(enumerate(objs)) if self.rank == root else {})
-        self._end()
-        return inbox[root]
-
-    def allgather(self, obj: Any) -> List[Any]:
-        """Gather one value per rank and return the full list on every rank."""
-        self._begin()
-        self.stats.record("allgather", self.size - 1, payload_nbytes(obj))
-        result = self._collect(obj, list)
-        self._end()
-        return list(result)
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Reduce ``value`` over all ranks with ``op``; result on every rank."""
-        self._begin()
-        self.stats.record("allreduce", self.size - 1, payload_nbytes(value))
-
-        def combine(slots: List[Any]) -> Any:
-            """Left-fold the per-rank contributions with ``op``."""
-            acc = slots[0]
-            for v in slots[1:]:
-                acc = op(acc, v)
-            return acc
-
-        result = self._collect(value, combine)
-        self._end()
-        return result
-
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Exclusive prefix reduction: rank r gets op-fold of ranks 0..r-1."""
-        self._begin()
-        self.stats.record("exscan", 1, payload_nbytes(value))
-
-        def combine(slots: List[Any]) -> List[Any]:
-            """Exclusive prefix folds, one slot per rank."""
-            prefixes = [identity_for(op, slots[0])]
-            acc = slots[0]
-            for v in slots[1:]:
-                prefixes.append(acc)
-                acc = op(acc, v)
-            return prefixes
-
-        result = self._collect(value, combine)
-        self._end()
-        return result[self.rank]
-
-    def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Inclusive prefix reduction: rank r gets op-fold of ranks 0..r."""
-        self._begin()
-        self.stats.record("scan", 1, payload_nbytes(value))
-
-        def combine(slots: List[Any]) -> List[Any]:
-            """Inclusive prefix folds, one slot per rank."""
-            prefixes = []
-            acc = None
-            for i, v in enumerate(slots):
-                acc = v if i == 0 else op(acc, v)
-                prefixes.append(acc)
-            return prefixes
-
-        result = self._collect(value, combine)
-        self._end()
-        return result[self.rank]
-
-    def alltoall(self, objs: List[Any]) -> List[Any]:
-        """Dense personalized exchange: send ``objs[r]`` to rank r."""
-        self._begin()
-        if len(objs) != self.size:
-            raise ValueError("alltoall requires one value per destination rank")
-        sent = sum(payload_nbytes(o) for i, o in enumerate(objs) if i != self.rank)
-        self.stats.record("alltoall", self.size - 1, sent)
-        inbox = self._route(dict(enumerate(objs)))
-        received = [inbox[src] for src in range(self.size)]
-        self._end()
-        return received
-
-    def exchange(self, outbox: Dict[int, Any]) -> Dict[int, Any]:
-        """Sparse personalized exchange (the workhorse of the forest code)."""
-        self._begin()
-        for dest in outbox:
-            if not 0 <= dest < self.size:
-                raise ValueError(f"exchange destination {dest} out of range")
-        nmsg = sum(1 for d in outbox if d != self.rank)
-        nbytes = sum(payload_nbytes(v) for d, v in outbox.items() if d != self.rank)
-        self.stats.record("exchange", nmsg, nbytes)
-        inbox = self._route(dict(outbox))
-        self._end()
-        return inbox
 
 
 @dataclass
@@ -327,7 +127,7 @@ class AttemptRequest:
     :mod:`repro.parallel.layers`); ``attempt`` is the zero-based retry
     index of resilient runs (plain runs always pass 0).  ``store``, when
     not ``None``, is the run's checkpoint store; the backend injects it
-    (or a cross-process proxy for it) as the rank program's first
+    (or a cross-process relay to it) as the rank program's first
     argument after the communicator.  ``timeout`` arms every blocking
     collective wait; ``None`` falls back to the watchdog layer's timeout
     when one is configured, else waits indefinitely.

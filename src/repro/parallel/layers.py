@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.parallel.comm import Comm
 from repro.parallel.faults import FaultPlan, FaultyComm
 from repro.parallel.sanitizer import SanitizedComm, SanitizerState
-from repro.parallel.watchdog import HangWatchdog
+from repro.parallel.watchdog import HangWatchdog, WatchdogComm
 
 #: Canonical composition order, innermost first.
 LAYER_ORDER = ("faults", "sanitize", "watchdog", "trace")
@@ -48,9 +48,9 @@ class LayerContext:
     """Per-rank, per-attempt context a backend supplies to layer wrapping.
 
     Backends populate the shared facilities each layer needs: one
-    ``sanitizer_state`` table per attempt (a cross-process proxy under
+    ``sanitizer_state`` table per attempt (a cross-process relay under
     the process backend), the attempt's ``watchdog`` monitor (likewise
-    proxied), and this rank's ``tracer``.  ``attempt`` is the zero-based
+    relayed), and this rank's ``tracer``.  ``attempt`` is the zero-based
     retry index that fault wrappers key on.
     """
 
@@ -140,7 +140,7 @@ class Watchdog(CommLayer):
     own to keep a handle on its artifacts).  Its timeout also arms every
     blocking wait of the machine when ``RunConfig.timeout`` is not set.
     Under the process backend the monitor lives in the parent; workers
-    wrap with a relay proxy supplied through the context, and the layer
+    wrap with a relay to it supplied through the context, and the layer
     pickles as its configuration only.
     """
 
@@ -164,7 +164,7 @@ class Watchdog(CommLayer):
     def wrap(self, comm: Comm, ctx: LayerContext) -> Comm:
         """Compose the heartbeat decorator over ``comm``."""
         monitor = ctx.watchdog if ctx.watchdog is not None else self.watchdog
-        return monitor.comm_for(comm)
+        return WatchdogComm(comm, monitor)
 
     def __getstate__(self) -> "dict[str, Any]":
         """Pickle as configuration (the live monitor holds locks/files)."""

@@ -10,7 +10,7 @@ unblocking all peers, and the original exception is re-raised from the
 driver.
 
 All argument validation and :class:`~repro.parallel.stats.CommStats`
-metering live in the shared :class:`~repro.parallel.backend.MeteredComm`
+metering live in the shared :class:`~repro.parallel.comm.MeteredComm`
 frontend, so accounting is byte-exact with the process backend of
 :mod:`repro.parallel.process_backend`.  Threads share one address space
 and the GIL: communication is cheap but compute never overlaps, which is
@@ -27,11 +27,11 @@ from repro.parallel.backend import (
     AttemptRequest,
     AttemptResult,
     Backend,
-    MeteredComm,
     RankOutcome,
     SpmdError,
     effective_timeout,
 )
+from repro.parallel.comm import MeteredComm
 from repro.parallel.layers import LayerContext, find_layer, wrap_comm
 from repro.parallel.sanitizer import SanitizerState
 from repro.parallel.stats import CommStats

@@ -5,7 +5,7 @@ does: each rank runs in its own interpreter, so mangll element kernels
 and octant sorts on different ranks execute truly concurrently instead
 of time-slicing one GIL.  Semantics are identical to the thread backend
 — same values, byte-exact :class:`~repro.parallel.stats.CommStats` —
-because both share the :class:`~repro.parallel.backend.MeteredComm`
+because both share the :class:`~repro.parallel.comm.MeteredComm`
 collective frontend; only the transport underneath differs.
 
 Transport: each worker holds a duplex pipe to the parent, which runs a
@@ -20,16 +20,22 @@ addressed to it.  Every ndarray payload travels through the sender's
 shared-memory arena (:mod:`repro.parallel.shm`); the pipe carries only
 descriptors, and each receiving rank copies out only what it receives.
 
-The observability stack crosses the process boundary by proxy: the
-sanitizer table, the hang watchdog, and the checkpoint store live in the
-parent; workers relay heartbeats, signature checks, and checkpoint
-traffic over the same pipe (pipe FIFO ordering keeps heartbeats ahead of
-the blocking operation they bracket).  Failure handling mirrors the
-thread backend's shared-state protocol — lowest primary failure wins,
-cascades never mask the cause — with one genuinely new power: a worker
-that *dies* (SIGKILL included) is detected as a dropped connection and
-attributed as that rank's failure, which is what lets resilient runs
-recover from real process loss, not just simulated faults.
+The sanitizer table, the hang watchdog and the checkpoint store live in
+the parent.  A worker reaches them through one relay: each call is a
+``("call", target, method, args)`` message on the same pipe, and one
+table, :data:`_RELAY`, lists every ``(target, method)`` a worker may
+call and whether it waits for the reply.  Signature checks and
+checkpoint saves and loads are round trips that re-raise the parent's
+exception in the rank program; heartbeats are fire-and-forget (pipe
+FIFO ordering keeps them ahead of the operation they bracket).  The
+router applies nothing the table does not list.
+
+Failure handling mirrors the thread backend's shared-state protocol —
+lowest primary failure wins, cascades never mask the cause — with one
+genuinely new power: a worker that *dies* (SIGKILL included) is
+detected as a dropped connection and attributed as that rank's failure,
+which is what lets resilient runs recover from real process loss, not
+just simulated faults.
 
 With an ``AttemptRequest.max_replacements`` budget the router goes one
 step further: instead of aborting the attempt it performs a *warm
@@ -37,7 +43,7 @@ replacement*.  The dead rank is respawned as a fresh process while every
 surviving worker receives a ``rollback`` message — delivered by the next
 ``_recv`` as a :class:`_RollbackSignal` — unwinds its program, reports
 its rolled-back traffic with an ``rb-ack``, and re-enters the rank
-program in place (reloading from the checkpoint store proxy).  The
+program in place (reloading from the checkpoint store).  The
 router discards everything a survivor sent before its ack (pipe FIFO
 makes all of it provably stale), resets the round protocol, sanitizer
 table, and watchdog heartbeats, and bumps the per-worker attempt index
@@ -60,18 +66,16 @@ from repro.parallel.backend import (
     AttemptRequest,
     AttemptResult,
     Backend,
-    MeteredComm,
     RankOutcome,
     SpmdError,
     effective_timeout,
 )
-from repro.parallel.comm import Comm
+from repro.parallel.comm import MeteredComm
 from repro.parallel.layers import LayerContext, find_layer, wrap_comm
-from repro.parallel.sanitizer import CallSignature, SanitizerState
+from repro.parallel.sanitizer import SanitizerState
 from repro.parallel.shm import Arenas, arena_prefix, sweep
 from repro.parallel.stats import CommStats
-from repro.parallel.watchdog import HangError, WatchdogComm
-from repro.trace.tracer import current_phase_path
+from repro.parallel.watchdog import HangError
 
 
 class _RollbackSignal(BaseException):
@@ -131,6 +135,27 @@ def _load_exc_chain(rank: int, entries: List[Tuple[str, Any]]) -> BaseException:
         if parent.__cause__ is None:
             parent.__cause__ = cause
     return excs[0]
+
+
+def _post(conn: Any, msg: Tuple[Any, ...]) -> bool:
+    """Send ``msg`` on ``conn``; ``False`` when the pipe has dropped.
+
+    A dropped pipe needs no handling at the send: the parent learns of a
+    dead worker from its EOF, and a worker whose parent is gone exits.
+    """
+    try:
+        conn.send(msg)
+    except OSError:
+        return False
+    return True
+
+
+def _close(conn: Any) -> None:
+    """Close ``conn``, tolerating a pipe that is already broken."""
+    try:
+        conn.close()
+    except OSError:
+        pass
 
 
 class ProcessComm(MeteredComm):
@@ -246,69 +271,56 @@ class ProcessComm(MeteredComm):
         return dict(sorted(inbox.items()))
 
 
-class _SanitizerProxy:
-    """Worker-side stand-in for the parent's :class:`SanitizerState`."""
+#: Every call a worker may relay to a parent-side object, as
+#: ``(target, method)`` -> whether the worker waits for the reply.  Targets
+#: are the parent's sanitizer table (``san``), hang watchdog (``wd``) and
+#: checkpoint store (``store``).  Heartbeats are fire-and-forget: pipe FIFO
+#: order still puts an ``enter`` ahead of the ``put`` it brackets.
+_RELAY: Dict[Tuple[str, str], bool] = {
+    ("san", "check"): True,
+    ("wd", "enter"): False,
+    ("wd", "exit"): False,
+    ("wd", "finished"): False,
+    ("store", "save"): True,
+    ("store", "load"): True,
+}
 
-    def __init__(self, comm: ProcessComm) -> None:
-        """Relay through ``comm``'s pipe."""
-        self._comm = comm
-        self.size = comm.size
 
-    def check(self, rank: int, seq: int, sig: CallSignature) -> None:
-        """Cross-validate against the parent table; re-raise mismatches."""
-        reply = self._comm._request(("san", seq, sig), "san-reply")
-        if reply[1] is not None:
-            raise pickle.loads(reply[1])
+class _Relay:
+    """Worker-side stand-in for the parent's ``target`` object.
 
-
-class _WatchdogProxy:
-    """Worker-side stand-in for the parent's :class:`HangWatchdog`.
-
-    Heartbeats are fire-and-forget: pipe FIFO ordering guarantees the
-    parent records the ``enter`` before it sees the ``put`` of the
-    operation the heartbeat brackets, which is all diagnosis needs.  The
-    worker's phase path travels with the ``enter`` (the monitor lives in
-    the parent, where no phase is active).
+    Exposes exactly the methods :data:`_RELAY` lists for ``target`` (any
+    other name raises :class:`AttributeError`); each call travels as one
+    ``("call", target, method, args)`` message.  A call that waits gets a
+    ``reply`` carrying the result, or the parent-side exception, which
+    is re-raised here.  ``size`` serves the sanitizer's table-size check.
     """
 
-    def __init__(self, comm: ProcessComm) -> None:
-        """Relay through ``comm``'s pipe."""
+    def __init__(self, comm: ProcessComm, target: str) -> None:
+        """Relay calls on the parent's ``target`` through ``comm``'s pipe."""
         self._comm = comm
+        self._target = target
+        self.size = comm.size
 
-    def comm_for(self, inner: Comm) -> WatchdogComm:
-        """Wrap ``inner`` exactly like the real monitor does."""
-        return WatchdogComm(inner, self)
+    def __getattr__(self, method: str) -> Callable[..., Any]:
+        """The relayed ``method``, if the table lists it for this target."""
+        target = self.__dict__.get("_target")  # no recursion before __init__
+        waits = _RELAY.get((target, method))
+        if waits is None:
+            raise AttributeError(f"no relay for {target}.{method}")
+        head = ("call", target, method)
 
-    def enter(self, rank: int, op: str, detail: str) -> None:
-        """Open this rank's heartbeat in the parent."""
-        self._comm._send(("wd", "enter", op, detail, current_phase_path()))
-        return None
+        def call(*args: Any) -> Any:
+            """Apply the method to the parent-side object."""
+            if not waits:
+                self._comm._send(head + (args,))
+                return None
+            reply = self._comm._request(head + (args,), "reply")
+            if reply[1] is not None:
+                raise _load_exc_chain(self._comm.rank, reply[1])
+            return reply[2]
 
-    def exit(self, rank: int, record: Any) -> None:
-        """Close this rank's heartbeat in the parent."""
-        self._comm._send(("wd", "exit"))
-
-    def finished(self, rank: int, errored: bool = False) -> None:
-        """Mark this rank's program returned (or raised) in the parent."""
-        self._comm._send(("wd", "fin", errored))
-
-
-class _StoreProxy:
-    """Worker-side stand-in for the parent's checkpoint store."""
-
-    def __init__(self, comm: ProcessComm) -> None:
-        """Relay through ``comm``'s pipe."""
-        self._comm = comm
-
-    def save(self, payload: Any) -> None:
-        """Forward a checkpoint to the parent store (fire-and-forget)."""
-        if payload is None:
-            return
-        self._comm._send(("save", payload))
-
-    def load(self) -> Any:
-        """Fetch the latest checkpoint from the parent store."""
-        return self._comm._request(("load",), "loaded")[1]
+        return call
 
 
 #: One dispatched job: ``(fn, args, kwargs, layers, attempt, has_store,
@@ -352,9 +364,7 @@ def _run_job(
     while True:
         comm = ProcessComm(rank, size, conn, arenas)
         watchdog = (
-            _WatchdogProxy(comm)
-            if find_layer(layers, "watchdog") is not None
-            else None
+            _Relay(comm, "wd") if find_layer(layers, "watchdog") is not None else None
         )
         tracer = None
         if tracing:
@@ -366,15 +376,13 @@ def _run_job(
             size=size,
             attempt=attempt + gen,
             sanitizer_state=(
-                _SanitizerProxy(comm)
-                if find_layer(layers, "sanitize") is not None
-                else None
+                _Relay(comm, "san") if find_layer(layers, "sanitize") is not None else None
             ),
             watchdog=watchdog,
             tracer=tracer,
         )
         facade = wrap_comm(comm, layers, ctx)
-        fn_args = (_StoreProxy(comm),) + tuple(args) if has_store else tuple(args)
+        fn_args = (_Relay(comm, "store"),) + tuple(args) if has_store else tuple(args)
         comm._mark = time.thread_time()
         try:
             if tracer is not None:
@@ -384,16 +392,14 @@ def _run_job(
                 value = fn(facade, *fn_args, **kwargs)
         except _RollbackSignal as rb:
             gen = rb.gen
-            try:
-                comm._send(("rb-ack", gen, comm.stats))
-            except (OSError, BrokenPipeError):
+            if not _post(conn, ("rb-ack", gen, comm.stats)):
                 return False
             continue  # re-enter the program as rollback generation ``gen``
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             if not comm.saw_abort:
                 try:
                     if watchdog is not None:
-                        watchdog.finished(rank, errored=True)
+                        watchdog.finished(rank, True)
                     comm._send(("err", _dump_exc_chain(exc), comm.stats))
                 except (OSError, BrokenPipeError):
                     pass
@@ -401,19 +407,9 @@ def _run_job(
         if watchdog is not None:
             watchdog.finished(rank)
         comm._begin()
-        try:
-            comm._send(
-                (
-                    "done",
-                    value,
-                    comm.stats,
-                    comm.compute_seconds,
-                    tracer.report() if tracer is not None else None,
-                )
-            )
-        except (OSError, BrokenPipeError):
-            return False  # parent tore the attempt down first
-        return True
+        trace = tracer.report() if tracer is not None else None
+        # False: the parent tore the attempt down first.
+        return _post(conn, ("done", value, comm.stats, comm.compute_seconds, trace))
 
 
 def _worker_main(
@@ -451,9 +447,7 @@ def _worker_main(
             if not clean:
                 # The router must learn we are parked (it will never see
                 # an EOF from a worker that stays alive for the pool).
-                try:
-                    conn.send(("idle",))
-                except (OSError, BrokenPipeError):
+                if not _post(conn, ("idle",)):
                     return
             while True:
                 try:
@@ -467,18 +461,13 @@ def _worker_main(
                 if msg[0] == "rollback":
                     # Raced with our "done": the router quarantined us as
                     # a survivor, so ack and re-enter the same program.
-                    try:
-                        conn.send(("rb-ack", msg[1], CommStats()))
-                    except (OSError, BrokenPipeError):
+                    if not _post(conn, ("rb-ack", msg[1], CommStats())):
                         return
                     spawn_gen = msg[1]
                     break
                 return  # "quit", a late abort, or protocol confusion
     finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+        _close(conn)
 
 
 class _Router:
@@ -511,7 +500,6 @@ class _Router:
         self.err_stats = CommStats()
         self.aborted = False
         self.abort_at = 0.0
-        self.open_rec: Dict[int, Any] = {}
         self.alive: Dict[Any, int] = {}  # conn -> rank, removed on EOF
         # Warm-replacement state (active when request.max_replacements > 0).
         self.rollback_gen = 0  # how many in-place rollbacks this attempt took
@@ -530,18 +518,19 @@ class _Router:
 
     # Failure bookkeeping (mirrors _Shared.abort) ---------------------------
 
-    def record_failure(self, rank: int, exc: BaseException) -> None:
-        """Record a primary failure; cascades never mask the first cause."""
-        if not isinstance(exc, SpmdError) or not self.failures:
-            self.failures.setdefault(rank, exc)
-
     @property
     def failed_rank(self) -> Optional[int]:
         """Lowest rank with a primary failure, or ``None``."""
         return min(self.failures) if self.failures else None
 
-    def abort_all(self) -> None:
-        """Tell every surviving worker the attempt is over."""
+    def fail(self, rank: int, exc: BaseException) -> None:
+        """Record a failure of ``rank`` and tell every surviving worker.
+
+        A cascade never masks the first primary cause, and the abort is
+        sent once.
+        """
+        if not isinstance(exc, SpmdError) or not self.failures:
+            self.failures.setdefault(rank, exc)
         if self.aborted:
             return
         self.aborted = True
@@ -552,10 +541,7 @@ class _Router:
         for conn, rank in list(self.alive.items()):
             if rank in self.completed:
                 continue
-            try:
-                conn.send(("abort", failed, hang_msg))
-            except (OSError, BrokenPipeError):
-                pass
+            _post(conn, ("abort", failed, hang_msg))
 
     # Message handling -------------------------------------------------------
 
@@ -579,34 +565,17 @@ class _Router:
             return  # pre-rollback traffic from a survivor; provably stale
         if tag in ("put", "route"):
             self.on_put(rank, msg)
-        elif tag == "san":
-            self.on_san(rank, conn, msg[1], msg[2])
-        elif tag == "wd":
-            self.on_wd(rank, msg)
-        elif tag == "save":
-            if self.request.store is not None:
-                self.request.store.save(msg[1])
-        elif tag == "load":
-            payload = (
-                self.request.store.load() if self.request.store is not None else None
-            )
-            try:
-                conn.send(("loaded", payload))
-            except (OSError, BrokenPipeError):
-                pass
+        elif tag == "call":
+            self.on_call(rank, conn, msg[1], msg[2], msg[3])
         elif tag == "done":
             self.outcomes[rank] = RankOutcome(msg[1], msg[2], msg[3], trace=msg[4])
             self.completed.add(rank)
         elif tag == "err":
             exc = _load_exc_chain(rank, msg[1])
             self.err_stats.merge(msg[2])
-            self.record_failure(rank, exc)
-            self.abort_all()
+            self.fail(rank, exc)
         else:
-            self.record_failure(
-                rank, RuntimeError(f"protocol error: unknown message {tag!r}")
-            )
-            self.abort_all()
+            self.fail(rank, RuntimeError(f"protocol error: unknown message {tag!r}"))
 
     def on_put(self, rank: int, msg: Tuple[Any, ...]) -> None:
         """Deposit one contribution; deliver the round when complete.
@@ -617,13 +586,12 @@ class _Router:
         """
         tag, round_idx = msg[0], msg[1]
         if round_idx != self.round_idx:
-            self.record_failure(
+            self.fail(
                 rank,
                 RuntimeError(
                     f"round skew: rank {rank} at {round_idx}, router at {self.round_idx}"
                 ),
             )
-            self.abort_all()
             return
         self.slots[rank] = msg
         self.contributed.add(rank)
@@ -631,10 +599,7 @@ class _Router:
         if len(self.contributed) < self.size:
             return
         if any(slot[0] != tag for slot in self.slots):
-            self.record_failure(
-                rank, RuntimeError("collective mismatch: ranks mix put and route rounds")
-            )
-            self.abort_all()
+            self.fail(rank, RuntimeError("collective mismatch: ranks mix put and route rounds"))
             return
         body: Any = [(s[2], s[3]) for s in self.slots]
         blob = pickle.dumps(("slots", self.round_idx, body), pickle.HIGHEST_PROTOCOL)
@@ -651,34 +616,34 @@ class _Router:
         self.contributed.clear()
         self.last_progress = time.perf_counter()
 
-    def on_san(self, rank: int, conn: Any, seq: int, sig: CallSignature) -> None:
-        """Cross-validate one call signature against the shared table."""
-        assert self.san_state is not None
-        blob = None
-        try:
-            self.san_state.check(rank, seq, sig)
-        except Exception as exc:  # noqa: BLE001 - relayed, raised worker-side
-            blob = pickle.dumps(exc)
-        try:
-            conn.send(("san-reply", blob))
-        except (OSError, BrokenPipeError):
-            pass
+    def on_call(
+        self, rank: int, conn: Any, target: str, method: str, args: Tuple[Any, ...]
+    ) -> None:
+        """Apply one relayed call to its parent-side object.
 
-    def on_wd(self, rank: int, msg: Tuple[Any, ...]) -> None:
-        """Apply one relayed heartbeat event to the parent monitor."""
-        if self.watchdog is None:
+        Only a ``(target, method)`` pair listed in :data:`_RELAY` is ever
+        looked up; any other is a protocol error.  A missing object (the
+        run has no such layer or store) makes the call a no-op returning
+        ``None``.  A waiting call's exception travels back in the reply;
+        a fire-and-forget call's fails its rank.
+        """
+        waits = _RELAY.get((target, method))
+        if waits is None:
+            self.fail(rank, RuntimeError(f"protocol error: no relay for {target}.{method}"))
             return
-        kind = msg[1]
-        if kind == "enter":
-            self.open_rec[rank] = self.watchdog.enter(
-                rank, msg[2], msg[3], phase=msg[4]
-            )
-        elif kind == "exit":
-            rec = self.open_rec.pop(rank, None)
-            if rec is not None:
-                self.watchdog.exit(rank, rec)
-        elif kind == "fin":
-            self.watchdog.finished(rank, errored=msg[2])
+        obj = {"san": self.san_state, "wd": self.watchdog, "store": self.request.store}
+        result: Any = None
+        err: Optional[List[Tuple[str, Any]]] = None
+        try:
+            if obj[target] is not None:
+                result = getattr(obj[target], method)(*args)
+        except Exception as exc:  # noqa: BLE001 - relayed, raised worker-side
+            if not waits:
+                self.fail(rank, exc)
+                return
+            err = _dump_exc_chain(exc)
+        if waits:
+            _post(conn, ("reply", err, result))
 
     def on_death(self, rank: int) -> None:
         """A worker's pipe dropped: benign after completion/abort, else fatal.
@@ -696,8 +661,7 @@ class _Router:
         if self.replacements < self.request.max_replacements:
             self.initiate_rollback(rank, cause)
             return
-        self.record_failure(rank, cause)
-        self.abort_all()
+        self.fail(rank, cause)
 
     # Warm replacement -------------------------------------------------------
 
@@ -734,15 +698,11 @@ class _Router:
                 # Completed ranks' processes exited after "done"; drop the
                 # stale pipe so their EOF can never be misattributed.
                 self._drop(conn)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                _close(conn)
                 continue
-            try:
-                conn.send(("rollback", self.rollback_gen))
+            if _post(conn, ("rollback", self.rollback_gen)):
                 self.awaiting_ack.add(rank)
-            except (OSError, BrokenPipeError):
+            else:
                 self._drop(conn)
                 self.awaiting_ack.discard(rank)
                 respawn.add(rank)  # also dead; fold into this rollback
@@ -753,7 +713,6 @@ class _Router:
         self.contributed.clear()
         self.completed.clear()
         self.outcomes = [None] * self.size
-        self.open_rec.clear()
         if self.san_state is not None:
             self.san_state = SanitizerState(self.size)
         if self.watchdog is not None:
@@ -808,13 +767,12 @@ class _Router:
                 last = exc
                 time.sleep(delay)
                 delay *= 2
-        self.record_failure(
+        self.fail(
             rank,
             RuntimeError(
                 f"failed to respawn a replacement worker for rank {rank}: {last!r}"
             ),
         )
-        self.abort_all()
         return False
 
     def check_hang(self) -> None:
@@ -828,7 +786,7 @@ class _Router:
             return
         if self.awaiting_ack:
             rank = min(self.awaiting_ack)
-            self.record_failure(
+            self.fail(
                 rank,
                 HangError(
                     f"rank {rank} never acknowledged the in-place rollback "
@@ -836,7 +794,6 @@ class _Router:
                     rank=rank,
                 ),
             )
-            self.abort_all()
             return
         if self.watchdog is not None:
             reporter = min(self.contributed)
@@ -850,8 +807,7 @@ class _Router:
                 "a per-rank diagnosis)",
                 rank=err_rank,
             )
-        self.record_failure(err_rank, error)
-        self.abort_all()
+        self.fail(err_rank, error)
 
     # Main loop --------------------------------------------------------------
 
@@ -892,7 +848,6 @@ class _Router:
         """Stop listening to ``conn`` (EOF, rollback drop); call before closing."""
         del self.alive[conn]
         self._sel.unregister(conn)
-
 
     def _job_spec(self) -> _JobSpec:
         """Freeze this attempt's job for dispatch (spawn args or pipe)."""
@@ -1010,16 +965,10 @@ class _Router:
         if self.backend.persistent and not pooled:
             # Persistent workers idle in their job loop after an abort or
             # error; wake them so the joins below do not eat the grace.
-            for conn, rank in list(self.alive.items()):
-                try:
-                    conn.send(("quit",))
-                except (OSError, BrokenPipeError):
-                    pass
+            for conn in self.alive:
+                _post(conn, ("quit",))
             for conn in self.proc_by_conn:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                _close(conn)
         # Every worker not parked in the pool is gone after this, and so
         # are its arenas (including any it created after its last message).
         _reap([p for p in self.proc_by_conn.values() if id(p) not in pooled], grace)
@@ -1029,12 +978,8 @@ class _Router:
             self.replacement_seconds += time.perf_counter() - self.rollback_t0
             self.rollback_t0 = None
         for conn in self.proc_by_conn:
-            if id(conn) in pooled:
-                continue
-            try:
-                conn.close()
-            except OSError:
-                pass
+            if id(conn) not in pooled:
+                _close(conn)
 
         failed_rank = self.failed_rank
         artifact: Optional[str] = None
@@ -1146,15 +1091,9 @@ class ProcessBackend(Backend):
     def _retire(entries: List[_PoolEntry]) -> None:
         """Quit, close, and reap one generation of pooled workers; unlink their arenas."""
         for _, conn, _ in entries:
-            try:
-                conn.send(("quit",))
-            except (OSError, BrokenPipeError):
-                pass
+            _post(conn, ("quit",))
         for _, conn, _ in entries:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close(conn)
         _reap([proc for _, _, proc in entries], 1.0)
 
     def close(self) -> None:

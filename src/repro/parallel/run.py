@@ -51,7 +51,7 @@ class CheckpointStore(ABC):
     a non-``None`` payload) and :meth:`load` to resume.  The store lives in
     the driver, outside the rank threads or processes, so it survives a
     failed attempt; under the process backend workers talk to it through
-    a proxy and payloads must be picklable.
+    a relay and payloads must be picklable.
 
     Implementations: :class:`MemoryCheckpointStore` (volatile, free) and
     :class:`~repro.io.store.DiskCheckpointStore` (durable generation

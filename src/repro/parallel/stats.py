@@ -22,6 +22,7 @@ class OpStats:
     bytes_sent: int = 0
 
     def add(self, messages: int, bytes_sent: int) -> None:
+        """Count one call implying ``messages`` messages and ``bytes_sent`` bytes."""
         self.calls += 1
         self.messages += messages
         self.bytes_sent += bytes_sent
@@ -34,21 +35,26 @@ class CommStats:
     ops: Dict[str, OpStats] = field(default_factory=dict)
 
     def record(self, op: str, messages: int, bytes_sent: int) -> None:
+        """Count one call of ``op`` (see :meth:`OpStats.add`)."""
         self.ops.setdefault(op, OpStats()).add(messages, bytes_sent)
 
     def reset(self) -> None:
+        """Forget every counter."""
         self.ops.clear()
 
     @property
     def total_calls(self) -> int:
+        """Calls over all operations."""
         return sum(s.calls for s in self.ops.values())
 
     @property
     def total_messages(self) -> int:
+        """Messages over all operations."""
         return sum(s.messages for s in self.ops.values())
 
     @property
     def total_bytes(self) -> int:
+        """Bytes sent over all operations."""
         return sum(s.bytes_sent for s in self.ops.values())
 
     def merge(self, other: "CommStats") -> "CommStats":
@@ -61,9 +67,11 @@ class CommStats:
         return self
 
     def items(self) -> Iterator[Tuple[str, OpStats]]:
+        """``(op, counters)`` pairs in operation-name order."""
         return iter(sorted(self.ops.items()))
 
     def summary(self) -> str:
+        """A fixed-width table: one row per operation, then the totals."""
         lines = [f"{'op':<12} {'calls':>8} {'messages':>10} {'bytes':>14}"]
         for op, s in self.items():
             lines.append(f"{op:<12} {s.calls:>8} {s.messages:>10} {s.bytes_sent:>14}")

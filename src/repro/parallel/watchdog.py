@@ -9,7 +9,7 @@ attributable faults:
   operations per rank (op, per-rank sequence number, phase label borrowed
   from :mod:`repro.trace`, enter/exit timestamps), the NCCL-style flight
   recorder dumped to a JSON artifact on any hang, mismatch, or
-  :class:`~repro.parallel.machine.SpmdError` so failures are replayable
+  :class:`~repro.parallel.backend.SpmdError` so failures are replayable
   post-mortem.
 * :class:`WatchdogComm` — a :class:`~repro.parallel.comm.Comm` decorator
   (same pattern as :class:`~repro.parallel.faults.FaultyComm`) that
@@ -180,38 +180,32 @@ class HangWatchdog:
             self._attempt_artifact = None
             self._timeout_handled = False
 
-    def comm_for(self, inner: Comm) -> "WatchdogComm":
-        """Wrap ``inner`` so its rank reports heartbeats to this watchdog."""
-        return WatchdogComm(inner, self)
-
     # Heartbeat protocol (called from rank threads) -------------------------
 
-    def enter(
-        self, rank: int, op: str, detail: str, phase: Optional[str] = None
-    ) -> CommRecord:
-        """Record that ``rank`` is entering a blocking ``op``.
+    def enter(self, rank: int, op: str, detail: str, phase: str) -> None:
+        """Record that ``rank`` is entering a blocking ``op`` in ``phase``.
 
-        ``phase`` overrides the thread-local phase lookup; the process
-        backend passes the worker-side phase path through its relay, since
-        the monitor lives in the parent where no phase is active.
+        The caller supplies the phase path: it is known on the rank's
+        side, while the monitor may live in another process.
         """
         rs = self._ranks[rank]
         rec = CommRecord(
             seq=rs.calls,
             op=op,
             detail=detail,
-            phase=current_phase_path() if phase is None else phase,
+            phase=phase,
             t_enter=time.perf_counter() - self._epoch,
         )
         rs.calls += 1
         rs.recorder.append(rec)
         rs.current = rec
-        return rec
 
-    def exit(self, rank: int, record: CommRecord) -> None:
+    def exit(self, rank: int) -> None:
         """Record that ``rank`` left the blocking op it was in."""
-        record.t_exit = time.perf_counter() - self._epoch
-        self._ranks[rank].current = None
+        rs = self._ranks[rank]
+        if rs.current is not None:
+            rs.current.t_exit = time.perf_counter() - self._epoch
+            rs.current = None
 
     def finished(self, rank: int, errored: bool = False) -> None:
         """Mark ``rank``'s program as returned (or raised)."""
@@ -405,8 +399,8 @@ class WatchdogComm(CommDecorator):
             detail = f"dests={sorted(payload)}"
         else:
             detail = ""
-        rec = self.watchdog.enter(self.rank, op, detail)
+        self.watchdog.enter(self.rank, op, detail, current_phase_path())
         try:
             return super()._invoke(op, payload, root, reduce_op)
         finally:
-            self.watchdog.exit(self.rank, rec)
+            self.watchdog.exit(self.rank)

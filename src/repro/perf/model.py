@@ -87,10 +87,10 @@ def comm_cost_from_stats(stats, rounds_hint: float = 1.0) -> CommCost:
 def comm_cost_from_run(report, rounds_hint: float = 1.0, recovery=None) -> CommCost:
     """Per-rank-average :class:`CommCost` for a whole SPMD run.
 
-    ``report`` is a :class:`~repro.parallel.machine.SpmdReport`; the
+    ``report`` is a :class:`~repro.parallel.backend.SpmdReport`; the
     per-rank :class:`~repro.parallel.stats.CommStats` are combined with
     :meth:`CommStats.merge` and normalized by the rank count.  A
-    :class:`~repro.parallel.machine.RecoveryReport` adds its lost wall
+    :class:`~repro.parallel.run.RecoveryReport` adds its lost wall
     time as flat overhead — plus the lost attempts' traffic — so the
     modeled runtime of a resilient run charges for its recoveries.
     """

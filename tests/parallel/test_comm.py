@@ -194,18 +194,31 @@ def test_compute_seconds_nonnegative():
 # SerialComm ---------------------------------------------------------------
 
 
+def _every_collective(c):
+    """Call the ten collectives plus ``reduce``; return the values in order."""
+    arr = np.arange(6, dtype=np.float64)
+    out = [c.allgather(7), c.allreduce(arr, SUM), c.exscan(7, SUM), c.scan(arr, SUM)]
+    out += [c.bcast("x"), c.gather(arr), c.scatter([arr]), c.alltoall([3])]
+    out += [c.exchange({0: arr}), c.exchange({}), c.reduce(arr, MAX), c.barrier()]
+    return out
+
+
+def _counters(stats):
+    return {op: (s.calls, s.messages, s.bytes_sent) for op, s in stats.items()}
+
+
 def test_serial_comm_matches_spmd_size1():
+    """``SerialComm`` is the size-1 machine: same values, same metering."""
     c = SerialComm()
-    assert c.allgather(7) == [7]
-    assert c.allreduce(7, SUM) == 7
-    assert c.exscan(7, SUM) == 0
-    assert c.scan(7, SUM) == 7
-    assert c.bcast("x") == "x"
-    assert c.gather("g") == ["g"]
-    assert c.scatter(["s"]) == "s"
-    assert c.alltoall([3]) == [3]
-    assert c.exchange({0: "me"}) == {0: "me"}
-    c.barrier()
+    serial = _every_collective(c)
+    assert (serial[0], serial[2], serial[4], serial[7], serial[9]) == ([7], 0, "x", [3], {})
+    report = run_report(1, _every_collective)
+    (machine,) = report.values
+    assert len(serial) == len(machine)
+    for got, want in zip(serial, machine):
+        np.testing.assert_equal(got, want)
+    assert _counters(c.stats) == _counters(report.outcomes[0].stats)
+    assert c.stats.total_calls == 12  # reduce meters as the allreduce it expands to
 
 
 def test_serial_comm_rejects_remote():
@@ -214,6 +227,10 @@ def test_serial_comm_rejects_remote():
         c.exchange({1: "x"})
     with pytest.raises(ValueError):
         c.bcast("x", root=1)
+    with pytest.raises(ValueError):
+        c.scatter(["a", "b"])
+    with pytest.raises(ValueError):
+        c.alltoall([])
 
 
 # Reduction ops and identities ----------------------------------------------

@@ -30,6 +30,12 @@ from repro.parallel import (
     SpmdError,
     Watchdog,
 )
+from repro.parallel.backend import AttemptRequest
+from repro.parallel.process_backend import ProcessBackend, _Relay, _Router
+
+
+def _sum(comm):
+    return comm.allreduce(comm.rank)
 
 
 def _pconfig(size, **kwargs):
@@ -319,3 +325,52 @@ def test_cause_chain_survives_the_process_boundary():
     cause = ei.value.__cause__
     assert isinstance(cause, ValueError) and "outer failure" in str(cause)
     assert isinstance(cause.__cause__, KeyError)
+
+
+# The relay to parent-side objects ------------------------------------------
+
+
+class _Pipe:
+    """Records what the router sends down one worker's pipe."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+
+
+def test_router_refuses_a_relayed_call_not_in_the_table():
+    store = MemoryCheckpointStore()
+    router = _Router(ProcessBackend(start_method="fork"), AttemptRequest(2, _sum, store=store))
+    pipes = [_Pipe(), _Pipe()]
+    router.alive = {pipes[0]: 0, pipes[1]: 1}
+    try:
+        # Positive control: a tabled call reaches the store and is answered.
+        router.dispatch(0, pipes[0], ("call", "store", "save", ({"ckpt": 1},)))
+        assert store.load() == {"ckpt": 1}
+        assert pipes[0].sent == [("reply", None, None)]
+        assert not router.failures
+        # A forged pair is a protocol error of the sending rank, never a getattr.
+        router.dispatch(1, pipes[1], ("call", "store", "attach", ()))
+        assert router.failed_rank == 1
+        assert "protocol error" in str(router.failures[1])
+        assert router.aborted
+        assert pipes[0].sent[-1] == pipes[1].sent[-1] == ("abort", 1, None)
+    finally:
+        router._sel.close()
+
+
+def test_worker_relay_exposes_only_its_tabled_methods():
+    class _Comm:
+        rank, size = 0, 2
+
+    store = _Relay(_Comm(), "store")
+    assert callable(store.save) and callable(store.load)
+    assert store.size == 2
+    for name in ("attach", "check", "enter", "finished"):
+        with pytest.raises(AttributeError):
+            getattr(store, name)
+    assert callable(_Relay(_Comm(), "san").check)
+    with pytest.raises(AttributeError):
+        _Relay(_Comm(), "san").save

@@ -1,5 +1,9 @@
 """Tests for self-healing SPMD runs and the failure-path hardening."""
 
+import glob
+import multiprocessing
+import os
+
 import pytest
 
 from repro.parallel import (
@@ -255,3 +259,46 @@ def test_failure_description_includes_cause_chain():
     assert "ValueError('wrapper')" in text
     assert " <- " in text and "KeyError('root cause')" in text
     assert _failure_description(None, None) == "unattributed rank: unknown failure"
+
+
+# A store that fails in the driver ------------------------------------------
+
+
+class _FailingStore(MemoryCheckpointStore):
+    """Fails its first ``failures`` non-empty saves with ``OSError``.
+
+    ``DiskCheckpointStore.save`` raises the same once its retries are spent.
+    """
+
+    def __init__(self, failures):
+        super().__init__()
+        self.failures = failures
+
+    def save(self, payload):
+        if payload is not None and self.failures > 0:
+            self.failures -= 1
+            raise OSError("checkpoint commit failed")
+        super().save(payload)
+
+
+def _save_then_sum(comm, store):
+    store.save({"rank0": True} if comm.rank == 0 else None)
+    return comm.allreduce(comm.rank + 1)
+
+
+def test_store_failure_is_a_rank_failure_and_recovers():
+    store = _FailingStore(failures=1)
+    res = run_recovering(2, _save_then_sum, store=store, max_retries=1)
+    assert res.values == [3, 3]
+    assert res.recovery.recoveries == 1
+    assert res.recovery.ranks_lost == [0]
+    assert store.saves == 1
+
+
+def test_store_failure_exhausting_retries_leaves_nothing_running():
+    with pytest.raises(SpmdError) as exc_info:
+        run_recovering(2, _save_then_sum, store=_FailingStore(failures=10**9), max_retries=1)
+    assert exc_info.value.failed_rank == 0
+    assert isinstance(exc_info.value.__cause__, OSError)
+    assert not multiprocessing.active_children()
+    assert not glob.glob(f"/dev/shm/repro-{os.getpid()}-*")
