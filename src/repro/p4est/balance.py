@@ -180,25 +180,39 @@ def route_exterior_indexed(
     )
 
 
-def dedup_octants(octs: Octants) -> Octants:
-    """Sort and deduplicate an octant array (one gather, not two)."""
-    if len(octs) < 2:
+def dedup_octants(octs: Octants, return_inverse: bool = False):
+    """Sort and deduplicate an octant array (one gather, not two).
+
+    With ``return_inverse``, returns ``(distinct, inverse)``, where
+    ``distinct[inverse[i]]`` is ``octs[i]`` — Nodes groups its elements
+    into families this way, Balance only needs the distinct parents.
+    """
+    n = len(octs)
+    if n < 2 and not return_inverse:
         return octs
-    if octs.is_sorted():  # e.g. one already-sorted inbox part
-        return octs.dedup()
-    # Quicksort the keys, then group by tree: same (tree, key) order as
-    # ``sort_order()`` but ~2x faster than lexsort's all-stable passes.
-    # Tie order among equal keys is unobservable here — a (tree, key)
-    # pair fully determines the octant, and duplicates are removed below.
-    a = np.argsort(octs.keys())
-    b = group_order(octs.tree[a])
-    order = a[b]
-    t = octs.tree[order]
-    k = octs.keys()[order]
-    keep = np.empty(len(octs), dtype=bool)
-    keep[0] = True
-    keep[1:] = (t[1:] != t[:-1]) | (k[1:] != k[:-1])
-    return octs[order[keep]]
+    t, k = octs.tree, octs.keys()
+    order = None
+    if not octs.is_sorted():  # sorted, e.g. one already-sorted inbox part
+        # Quicksort the keys, then group by tree: same (tree, key) order
+        # as ``sort_order()`` but ~2x faster than lexsort's all-stable
+        # passes.  Tie order among equal keys is unobservable here — a
+        # (tree, key) pair fully determines the octant, and duplicates are
+        # removed below.
+        a = np.argsort(k)
+        order = a[group_order(t[a])]
+        t, k = t[order], k[order]
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    first[1:] = (t[1:] != t[:-1]) | (k[1:] != k[:-1])
+    distinct = octs[first if order is None else order[first]]
+    if not return_inverse:
+        return distinct
+    rank = np.cumsum(first) - 1
+    if order is None:
+        return distinct, rank
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = rank
+    return distinct, inverse
 
 
 def split_by_dest(dests: np.ndarray, src: np.ndarray, n: int):
