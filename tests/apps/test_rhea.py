@@ -270,6 +270,32 @@ def test_picard_iteration_counts_pinned():
     )
 
 
+def test_picard_iteration_counts_pinned_at_workload_size():
+    """The ``stokes_picard`` benchmark's mesh (levels 1-2, 808 elements,
+    no plume): literals recorded before the node-pair assembly plan, and
+    never regenerated alongside a change to the code they pin."""
+    run = RheaRun(SerialComm(), RheaConfig(base_level=1, max_level=2))
+    assert run.forest.global_count == 808
+    iterations, rms = [], []
+    for step in range(4):
+        if step == 2:
+            run.adapt()
+        result = run.picard_step()
+        assert result.converged
+        iterations.append(result.iterations)
+        rms.append(run.velocity_rms())
+    assert iterations == [67, 121, 67, 121]
+    assert rms == pytest.approx(
+        [
+            0.0005807585138429892,
+            0.0026809599166565277,
+            0.0005807585138429891,
+            0.0026809599166733515,
+        ],
+        rel=1e-8,
+    )
+
+
 def test_rhea_shell_setup_refines_plates():
     cfg = RheaConfig(domain="shell", base_level=1, max_level=2, stokes_maxiter=2)
     run = RheaRun(SerialComm(), cfg)
