@@ -35,10 +35,8 @@ def supg_energy_rhs(
     ``source`` optional nodal heat production.  Returns dT/dt (nloc,).
     Collective (one reverse-add scatter pair).
     """
-    from repro.apps.rhea.stokes import StokesProblem
-
     nl = cgs.mesh.nelem_local
-    PG, wdet = StokesProblem(cgs)._physical_gradients()
+    PG, wdet = cgs.physical_gradients()
     h = cgs.mesh.element_volumes()[:nl] ** (1.0 / cgs.dim)
 
     Te = cgs.element_values(T)

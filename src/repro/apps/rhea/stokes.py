@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.mangll.cgops import CGSpace, eliminate_dirichlet, gradient_matrices
+from repro.mangll.cgops import CGSpace, eliminate_dirichlet
 from repro.solvers.amg import smoothed_aggregation
 from repro.solvers.krylov import minres
 from repro.trace.tracer import PHASE_SOLVE, PHASE_VCYCLE, phase, traced
@@ -56,39 +56,28 @@ class StokesProblem:
 
     # --- element physics ------------------------------------------------------------
 
-    def _physical_gradients(self) -> Tuple[np.ndarray, np.ndarray]:
-        m = self.cgs.mesh
-        nl = m.nelem_local
-        G = gradient_matrices(self.dim, self.cgs.nq)
-        jinv = m.jinv[:nl]
-        PG = np.zeros((nl, self.npts, self.npts, self.dim))
-        for a in range(self.dim):
-            PG += jinv[:, :, a, None, :] * G[a][None, :, :, None]
-        wdet = m.detj[:nl] * m.weights[None, :]
-        return PG, wdet
-
     def element_matrices(
         self, eta: np.ndarray, force: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-element (K_u, B, C, f) for nodal viscosity and body force."""
         d, npts = self.dim, self.npts
-        PG, wdet = self._physical_gradients()
+        PG, wdet = self.cgs.physical_gradients()
         nl = PG.shape[0]
-        weta = wdet * eta
+        X = PG.reshape(nl, npts, npts * d)  # X[e, q, (i, c)]
 
-        lap = np.einsum("eq,eqik,eqjk->eij", weta, PG, PG)
-        cross = np.einsum("eq,eqib,eqja->eiajb", weta, PG, PG)
-        K = np.zeros((nl, npts * d, npts * d))
-        for c in range(d):
-            K[:, c::d, c::d] += lap
+        # G[e, (i, b), (j, a)] = sum_q w_q eta_q dphi_i/dx_b dphi_j/dx_a.
+        G = np.matmul((X * (wdet * eta)[:, :, None]).transpose(0, 2, 1), X)
+        G = G.reshape(nl, npts, d, npts, d)
+        lap = np.trace(G, axis1=2, axis2=4)  # grad(phi_i) . grad(phi_j)
         # eps:eps form: delta_cd grad.grad + the transposed coupling.
-        K += cross.reshape(nl, npts * d, npts * d)
-
-        B = np.zeros((nl, npts, npts * d))
+        K = G.transpose(0, 1, 4, 3, 2).copy()
         for c in range(d):
-            B[:, :, c::d] = -(wdet[:, :, None] * PG[:, :, :, c])
-        # Note: row i uses phi_i collocated at node i (nodal basis), so
+            K[:, :, c, :, c] += lap
+        K = K.reshape(nl, npts * d, npts * d)
+
+        # Row i uses phi_i collocated at node i (nodal basis), so
         # B[i, (j,c)] = -wdet_i dphi_j/dx_c(node_i).
+        B = -(wdet[:, :, None] * X)
 
         Dw = wdet / np.maximum(eta, 1e-300)
         ssum = Dw.sum(axis=1)
@@ -217,8 +206,10 @@ class StokesProblem:
 
     def strain_rate_invariant(self, u: np.ndarray) -> np.ndarray:
         """Nodal II = eps(u):eps(u) per element (for the rheology)."""
-        PG, _ = self._physical_gradients()
+        PG, _ = self.cgs.physical_gradients()
+        nl, npts, d = PG.shape[0], self.npts, self.dim
         ue = self.cgs.element_values(u)  # geometric nodal velocities (nl, npts, d)
-        grad = np.einsum("eqjc,ejd->eqcd", PG, ue)  # du_d/dx_c
+        PGt = PG.transpose(0, 1, 3, 2).reshape(nl, npts * d, npts)
+        grad = np.matmul(PGt, ue).reshape(nl, npts, d, d)  # du_d/dx_c
         epsm = 0.5 * (grad + grad.transpose(0, 1, 3, 2))
-        return np.einsum("eqcd,eqcd->eq", epsm, epsm)
+        return (epsm * epsm).reshape(nl, npts, d * d).sum(axis=2)

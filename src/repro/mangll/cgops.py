@@ -18,7 +18,7 @@ nodes, and inner products reduce over owned nodes (one allreduce).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,6 +116,19 @@ def _edge_faces(e: int) -> Tuple[int, int]:
     return tuple(2 * a + s for a, s in sorted(sides.items()))  # type: ignore
 
 
+class AssemblyPlan(NamedTuple):
+    """Node-pair CSR pattern of a space's element couplings.
+
+    Row ``n`` of the pattern holds the nodes ``indices[indptr[n]:indptr[n+1]]``
+    (ascending) that share an element with node ``n``; ``slot[e, i, j]``
+    is the position in ``indices`` of the pair ``(nodes_e[i], nodes_e[j])``.
+    """
+
+    indptr: np.ndarray  # (nloc + 1,)
+    indices: np.ndarray  # (npairs,)
+    slot: np.ndarray  # (nelem * npts * npts,), (e, i, j)-ordered
+
+
 class CGSpace:
     """Continuous Galerkin function space over a forest mesh + LNodes.
 
@@ -134,10 +147,15 @@ class CGSpace:
         self.nq = mesh.degree + 1
         self.npts = self.nq**self.dim
         self._constraint_groups: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        self._component_R: Dict[int, List[np.ndarray]] = {}
+        self._plan: Optional[AssemblyPlan] = None
+        self._gradients: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # --- Element constraint operators ----------------------------------------------
 
     def element_R(self, e: int) -> np.ndarray:
+        """Constraint operator ``R_e`` of local element ``e`` (the
+        per-element reference of :meth:`constraint_groups`)."""
         hf = tuple(int(v) for v in self.ln.hanging_face[e])
         he = (
             tuple(int(v) for v in self.ln.hanging_edge[e])
@@ -176,6 +194,16 @@ class CGSpace:
             ]
         return self._constraint_groups
 
+    def _constraint_operators(self, comps: int) -> List[np.ndarray]:
+        """``R ⊗ I_comps`` for each constraint group, computed once per
+        space and component count."""
+        if comps not in self._component_R:
+            eye = np.eye(comps)
+            self._component_R[comps] = [
+                np.kron(R, eye) for _, R in self.constraint_groups()
+            ]
+        return self._component_R[comps]
+
     def element_values(self, x: np.ndarray) -> np.ndarray:
         """Values at each element's geometric nodes, ``R_e x[nodes_e]``.
 
@@ -189,6 +217,20 @@ class CGSpace:
 
     # --- Assembly -----------------------------------------------------------------
 
+    def assembly_plan(self) -> AssemblyPlan:
+        """The node-pair pattern of :meth:`assemble_matrix`, built once per
+        space: one ``np.unique`` over the ``(nodes_e[i], nodes_e[j])`` keys."""
+        if self._plan is None:
+            nelem = self.mesh.nelem_local
+            nloc = self.ln.num_local_nodes
+            en = self.ln.element_nodes[:nelem].astype(np.int64)
+            keys = (en[:, :, None] * nloc + en[:, None, :]).ravel()
+            pairs, slot = np.unique(keys, return_inverse=True)
+            indptr = np.zeros(nloc + 1, dtype=np.int64)
+            np.cumsum(np.bincount(pairs // nloc, minlength=nloc), out=indptr[1:])
+            self._plan = AssemblyPlan(indptr, pairs % nloc, slot.ravel())
+        return self._plan
+
     def assemble_matrix(
         self, elem_mats: np.ndarray, row_comps: int = 1, col_comps: int = 1
     ) -> sp.csr_matrix:
@@ -197,6 +239,7 @@ class CGSpace:
         ``elem_mats`` is ``(nelem, npts * row_comps, npts * col_comps)``
         with components interleaved node-major (dof ``node * comps + c``),
         as is the assembled ``(nloc * row_comps, nloc * col_comps)`` matrix.
+        Every entry is summed in element order, as an element loop would.
         """
         nelem = self.mesh.nelem_local
         nr, nc = self.npts * row_comps, self.npts * col_comps
@@ -206,22 +249,25 @@ class CGSpace:
         groups = self.constraint_groups()
         if groups:
             elem_mats = elem_mats.copy()
-        for elems, R in groups:
-            Rr = np.kron(R, np.eye(row_comps))
-            Rc = Rr if col_comps == row_comps else np.kron(R, np.eye(col_comps))
+        Rrs = self._constraint_operators(row_comps)
+        Rcs = self._constraint_operators(col_comps)
+        for (elems, _), Rr, Rc in zip(groups, Rrs, Rcs):
             elem_mats[elems] = Rr.T @ elem_mats[elems] @ Rc
-        # Broadcast index arrays in element order, so duplicates are summed
-        # in the order a per-element loop would append them.
-        en = self.ln.element_nodes[:nelem]
-        rdof = (en[:, :, None] * row_comps + np.arange(row_comps)).reshape(nelem, nr)
-        cdof = (en[:, :, None] * col_comps + np.arange(col_comps)).reshape(nelem, nc)
-        rows = np.broadcast_to(rdof[:, :, None], elem_mats.shape)
-        cols = np.broadcast_to(cdof[:, None, :], elem_mats.shape)
-        A = sp.coo_matrix(
-            (elem_mats.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(nloc * row_comps, nloc * col_comps),
-        )
-        return A.tocsr()
+        # One bincount per component pair sums the (e, i, j)-ordered
+        # entries of each node pair in element order.
+        plan = self.assembly_plan()
+        npairs = len(plan.indices)
+        blocks = elem_mats.reshape(nelem, self.npts, row_comps, self.npts, col_comps)
+        data = np.empty((npairs, row_comps, col_comps))
+        for a in range(row_comps):
+            for b in range(col_comps):
+                data[:, a, b] = np.bincount(
+                    plan.slot, weights=blocks[:, :, a, :, b].ravel(), minlength=npairs
+                )
+        shape = (nloc * row_comps, nloc * col_comps)
+        if row_comps == col_comps == 1:
+            return sp.csr_matrix((data.reshape(npairs), plan.indices, plan.indptr), shape=shape)
+        return sp.bsr_matrix((data, plan.indices, plan.indptr), shape=shape).tocsr()
 
     def assemble_vector(self, elem_vecs: np.ndarray) -> np.ndarray:
         """Assemble per-element load vectors ``(nelem, npts[, ncomp])``;
@@ -246,6 +292,27 @@ class CGSpace:
         return self.ln.scatter_reverse_add(self.comm, self.assemble_vector(elem_vecs))
 
     # --- Element kernels ------------------------------------------------------------
+
+    def physical_gradients(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Basis gradients and quadrature weights at the element nodes.
+
+        ``PG[e, q, i, c]`` is ``d phi_i / d x_c`` at node ``q`` of element
+        ``e`` and ``wdet[e, q] = w_q det J``.  Computed once per space;
+        both arrays are read-only.
+        """
+        if self._gradients is None:
+            m = self.mesh
+            nl = m.nelem_local
+            G = gradient_matrices(self.dim, self.nq)
+            jinv = m.jinv[:nl]
+            PG = np.zeros((nl, self.npts, self.npts, self.dim))
+            for a in range(self.dim):
+                PG += jinv[:, :, a, None, :] * G[a][None, :, :, None]
+            wdet = m.detj[:nl] * m.weights[None, :]
+            for arr in (PG, wdet):
+                arr.setflags(write=False)
+            self._gradients = (PG, wdet)
+        return self._gradients
 
     def elem_laplacian(self, coeff: Optional[np.ndarray] = None) -> np.ndarray:
         """Element stiffness: int coeff grad(phi_i) . grad(phi_j)."""
@@ -349,11 +416,13 @@ class CGSpace:
         return mv
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Global inner product over owned nodes (one allreduce)."""
         owned = self.ln.is_owned()
         local = float(np.dot(a[owned], b[owned]))
         return float(self.comm.allreduce(local, SUM))
 
     def norm(self, a: np.ndarray) -> float:
+        """Global 2-norm, ``sqrt(dot(a, a))`` (one allreduce)."""
         return float(np.sqrt(max(self.dot(a, a), 0.0)))
 
 

@@ -2,8 +2,10 @@
 
 The references below are the element loops the batched code replaced
 (``for e in range(nl): R = cgs.element_R(e)`` and the LIL Dirichlet
-elimination), kept here so the two can be compared on a 3D forest that
-has hanging faces *and* pure hanging edges.
+elimination), the COO → CSR assembly and the ``einsum`` element matrices
+the node-pair plan and the batched matmul replaced, kept here so the two
+can be compared on a 3D forest that has hanging faces *and* pure hanging
+edges.
 """
 
 import numpy as np
@@ -122,6 +124,52 @@ def reference_stokes_assemble(stokes, eta, force):
     return (*mats, fvec)
 
 
+def reference_coo_assemble(cgs, elem_mats, rc, cc):
+    """COO indices broadcast in element order, summed by scipy's COO → CSR."""
+    nelem, npts = cgs.mesh.nelem_local, cgs.npts
+    nloc = cgs.ln.num_local_nodes
+    en = cgs.ln.element_nodes[:nelem]
+    rdof = (en[:, :, None] * rc + np.arange(rc)).reshape(nelem, npts * rc)
+    cdof = (en[:, :, None] * cc + np.arange(cc)).reshape(nelem, npts * cc)
+    rows = np.broadcast_to(rdof[:, :, None], elem_mats.shape)
+    cols = np.broadcast_to(cdof[:, None, :], elem_mats.shape)
+    return sp.coo_matrix(
+        (elem_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(nloc * rc, nloc * cc)
+    ).tocsr()
+
+
+def reference_element_loop_sum(cgs, elem_mats, rc, cc):
+    """Dense sum of ``R_r^T K_e R_c``, element by element, entry by entry."""
+    nloc = cgs.ln.num_local_nodes
+    out = np.zeros((nloc * rc, nloc * cc))
+    for e in range(cgs.mesh.nelem_local):
+        R = cgs.element_R(e)
+        Rr, Rc = np.kron(R, np.eye(rc)), np.kron(R, np.eye(cc))
+        ids = cgs.ln.element_nodes[e]
+        rows = (ids[:, None] * rc + np.arange(rc)).ravel()
+        cols = (ids[:, None] * cc + np.arange(cc)).ravel()
+        np.add.at(out, (rows[:, None], cols[None, :]), Rr.T @ elem_mats[e] @ Rc)
+    return out
+
+
+def reference_element_matrices(stokes, eta):
+    """The ``einsum`` forms of ``K_u`` and ``B``."""
+    d, npts = stokes.dim, stokes.npts
+    PG, wdet = stokes.cgs.physical_gradients()
+    nl = PG.shape[0]
+    weta = wdet * eta
+    lap = np.einsum("eq,eqik,eqjk->eij", weta, PG, PG)
+    cross = np.einsum("eq,eqib,eqja->eiajb", weta, PG, PG)
+    K = np.zeros((nl, npts * d, npts * d))
+    for c in range(d):
+        K[:, c::d, c::d] += lap
+    K += cross.reshape(nl, npts * d, npts * d)
+    B = np.zeros((nl, npts, npts * d))
+    for c in range(d):
+        B[:, :, c::d] = -(wdet[:, :, None] * PG[:, :, :, c])
+    return K, B
+
+
 def reference_lil_elimination(A, fixed):
     A = A.tolil()
     ii = np.flatnonzero(fixed)
@@ -140,7 +188,7 @@ def reference_apply_dirichlet(A, b, mask, values):
 
 
 def reference_energy_rhs(cgs, T, u, kappa, source):
-    PG, wdet = StokesProblem(cgs)._physical_gradients()
+    PG, wdet = cgs.physical_gradients()
     nl = cgs.mesh.nelem_local
     en = cgs.ln.element_nodes
     h = cgs.mesh.element_volumes()[:nl] ** (1.0 / cgs.dim)
@@ -214,6 +262,44 @@ def test_stokes_assemble_matches_per_element_reference(space):
     assert np.abs(new[3] - old[3]).max() <= 1e-14 * np.abs(old[3]).max()
 
 
+@pytest.mark.parametrize("rc, cc", [(1, 1), (1, 3), (3, 3)])
+def test_plan_assembly_is_the_element_loop_sum_bitwise(space, rc, cc):
+    _, cgs = space
+    rng = np.random.default_rng(6)
+    shape = (cgs.mesh.nelem_local, cgs.npts * rc, cgs.npts * cc)
+    elem_mats = rng.standard_normal(shape) * np.exp(rng.uniform(-8.0, 8.0, shape))
+    got = cgs.assemble_matrix(elem_mats, rc, cc)
+    want = reference_coo_assemble(cgs, elem_mats, rc, cc)
+    assert got.has_canonical_format
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.indices.dtype == want.indices.dtype
+    np.testing.assert_array_equal(got.toarray(), reference_element_loop_sum(cgs, elem_mats, rc, cc))
+
+
+def test_assembly_plan_is_built_once_per_space(space):
+    _, cgs = space
+    plan = cgs.assembly_plan()
+    assert cgs.assembly_plan() is plan
+    assert cgs.physical_gradients() is cgs.physical_gradients()
+    nelem = cgs.mesh.nelem_local
+    en = cgs.ln.element_nodes[:nelem]
+    slot = plan.slot.reshape(nelem, cgs.npts, cgs.npts)
+    rows = np.repeat(np.arange(cgs.ln.num_local_nodes), np.diff(plan.indptr))
+    np.testing.assert_array_equal(rows[slot], np.broadcast_to(en[:, :, None], slot.shape))
+    np.testing.assert_array_equal(plan.indices[slot], np.broadcast_to(en[:, None, :], slot.shape))
+
+
+def test_element_matrices_match_einsum_forms(space):
+    _, cgs = space
+    stokes = StokesProblem(cgs)
+    eta, force = fields(cgs)
+    K, B, _, _ = stokes.element_matrices(eta, force)
+    K_ref, B_ref = reference_element_matrices(stokes, eta)
+    assert np.abs(K - K_ref).max() <= 1e-14 * np.abs(K_ref).max()
+    np.testing.assert_array_equal(B, B_ref)
+
+
 def test_masked_elimination_equals_lil_elimination(space):
     conn, cgs = space
     stokes = StokesProblem(cgs)
@@ -243,8 +329,13 @@ def test_strain_rate_invariant_matches_per_element_reference(space):
     _, cgs = space
     stokes = StokesProblem(cgs)
     u = np.random.default_rng(4).standard_normal((len(cgs.ln.keys), 3))
-    PG, _ = stokes._physical_gradients()
+    PG, _ = cgs.physical_gradients()
     got = stokes.strain_rate_invariant(u)
+    ue = cgs.element_values(u)
+    grad = np.einsum("eqjc,ejd->eqcd", PG, ue)
+    epsm = 0.5 * (grad + grad.transpose(0, 1, 3, 2))
+    want = np.einsum("eqcd,eqcd->eq", epsm, epsm)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     for e in range(cgs.mesh.nelem_local):
         ue = cgs.element_R(e) @ u[cgs.ln.element_nodes[e]]
         grad = np.einsum("qjc,jd->qcd", PG[e], ue)
