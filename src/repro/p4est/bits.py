@@ -246,6 +246,23 @@ def group_order(ids: np.ndarray) -> np.ndarray:
     return np.argsort(ids, kind="stable")
 
 
+def _bisect(base: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(base, keys)`` with the keys bisected in key order.
+
+    NumPy's bisect starts each search from the previous one's bracket
+    while the keys do not decrease, so sorted keys walk ``base`` in order
+    instead of from the top each time.  Keys already in order are not
+    sorted again; equal keys get equal positions in any order, so the
+    result is the unsorted call's.
+    """
+    if not (keys[1:] < keys[:-1]).any():
+        return np.searchsorted(base, keys, side=side)
+    order = np.argsort(keys)
+    out = np.empty(len(keys), dtype=np.int64)
+    out[order] = np.searchsorted(base, keys[order], side=side)
+    return out
+
+
 def seg_searchsorted(
     base_seg: np.ndarray,
     base_key: np.ndarray,
@@ -261,7 +278,8 @@ def seg_searchsorted(
     comparison loop ~20x slower than a primitive-dtype bisect.  Keys are
     bisected per base segment (tree): one ``searchsorted`` per distinct
     query segment, each over a contiguous uint64 slice, the queries
-    grouped by segment with one :func:`group_order`.
+    grouped by segment with one :func:`group_order` and bisected in key
+    order within it (:func:`_bisect`).
     """
     base_seg = np.asarray(base_seg)
     base_key = np.asarray(base_key)
@@ -274,7 +292,7 @@ def seg_searchsorted(
         # Common case (single-tree forest): one primitive bisect.
         lo = np.searchsorted(base_seg, q_seg[0], side="left")
         hi = np.searchsorted(base_seg, q_seg[0], side="right")
-        out[:] = lo + np.searchsorted(base_key[lo:hi], q_key, side=side)
+        out[:] = lo + _bisect(base_key[lo:hi], q_key, side)
         return out
     order = group_order(q_seg)
     seg_s = q_seg[order]
@@ -285,7 +303,5 @@ def seg_searchsorted(
     ends = np.searchsorted(base_seg, segs, side="right")
     for i in range(len(segs)):
         sel = order[bounds[i] : bounds[i + 1]]
-        out[sel] = starts[i] + np.searchsorted(
-            base_key[starts[i] : ends[i]], q_key[sel], side=side
-        )
+        out[sel] = starts[i] + _bisect(base_key[starts[i] : ends[i]], q_key[sel], side)
     return out

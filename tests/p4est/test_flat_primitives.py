@@ -129,6 +129,44 @@ def test_seg_searchsorted_matches_scalar_bisect(side, seed):
     assert np.array_equal(got, want)
 
 
+def per_query_searchsorted(base_seg, base_key, q_seg, q_key, side):
+    """One scalar ``np.searchsorted`` per query, inside its segment."""
+    out = []
+    for t, k in zip(q_seg, q_key):
+        lo = np.searchsorted(base_seg, t, side="left")
+        hi = np.searchsorted(base_seg, t, side="right")
+        out.append(lo + np.searchsorted(base_key[lo:hi], k, side=side))
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("nseg", [1, 5])
+@pytest.mark.parametrize("arrival", ["unsorted", "sorted", "duplicates"])
+def test_seg_searchsorted_in_key_order_matches_per_query_reference(side, nseg, arrival):
+    rng = np.random.default_rng(nseg)
+    base_seg = np.sort(rng.integers(0, nseg, 400)).astype(np.int32)
+    base_key = np.empty(400, dtype=np.uint64)
+    for t in range(nseg):
+        at = base_seg == t
+        # Few distinct values, so base keys repeat and queries hit them.
+        base_key[at] = np.sort(rng.integers(0, 60, at.sum())).astype(np.uint64)
+    q_seg = rng.integers(0, nseg, 300).astype(np.int32)
+    q_key = rng.integers(0, 64, 300).astype(np.uint64)
+    if arrival == "sorted":
+        order = np.lexsort((q_key, q_seg))
+        q_seg, q_key = q_seg[order], q_key[order]
+    elif arrival == "duplicates":
+        q_seg, q_key = np.repeat(q_seg[:60], 5), np.repeat(q_key[:60], 5)
+        shuffle = rng.permutation(len(q_seg))
+        q_seg, q_key = q_seg[shuffle], q_key[shuffle]
+    got = seg_searchsorted(base_seg, base_key, q_seg, q_key, side=side)
+    want = per_query_searchsorted(base_seg, base_key, q_seg, q_key, side)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    empty = seg_searchsorted(base_seg, base_key, q_seg[:0], q_key[:0], side=side)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_searchsorted_octants_matches_python_order(dim, seed):
