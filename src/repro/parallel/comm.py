@@ -163,6 +163,12 @@ class MeteredComm(Comm):
         """Restart the compute clock as an operation returns."""
         self._mark = time.thread_time()
 
+    def _record_chain(self, op: str, value: Any) -> None:
+        """Meter a prefix collective as a chain: rank r sends its prefix to
+        rank r + 1, so every rank but the last sends one message."""
+        last = self.rank == self.size - 1
+        self.stats.record(op, 0 if last else 1, 0 if last else payload_nbytes(value))
+
     def _check_root(self, root: int) -> None:
         """Validate a collective's root rank."""
         if not 0 <= root < self.size:
@@ -239,7 +245,7 @@ class MeteredComm(Comm):
     def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction: rank r gets op-fold of ranks 0..r-1."""
         self._begin()
-        self.stats.record("exscan", 1, payload_nbytes(value))
+        self._record_chain("exscan", value)
 
         def combine(slots: List[Any]) -> List[Any]:
             """Exclusive prefix folds, one slot per rank."""
@@ -257,7 +263,7 @@ class MeteredComm(Comm):
     def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Inclusive prefix reduction: rank r gets op-fold of ranks 0..r."""
         self._begin()
-        self.stats.record("scan", 1, payload_nbytes(value))
+        self._record_chain("scan", value)
 
         def combine(slots: List[Any]) -> List[Any]:
             """Inclusive prefix folds, one slot per rank."""

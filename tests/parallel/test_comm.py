@@ -181,6 +181,24 @@ def test_stats_metering():
     assert merged.ops["exchange"].messages == 4
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_prefix_collectives_meter_a_chain(size):
+    """``scan``/``exscan``: rank r sends one message, its payload's bytes,
+    to rank r + 1; the last rank (and a size-1 comm) sends nothing."""
+
+    def prog(c):
+        c.exscan(np.zeros(3), SUM)
+        c.scan(np.zeros(5), SUM)
+        c.scan(np.zeros(5), SUM)
+
+    report = run_report(size, prog)
+    for r, outcome in enumerate(report.outcomes):
+        sends = r < size - 1
+        counters = _counters(outcome.stats)
+        assert counters["exscan"] == (1, int(sends), 24 * sends)
+        assert counters["scan"] == (2, 2 * sends, 80 * sends)
+
+
 def test_compute_seconds_nonnegative():
     def prog(c):
         x = sum(i * i for i in range(10000))
