@@ -166,6 +166,7 @@ class AMGHierarchy:
 
     @property
     def num_levels(self) -> int:
+        """Levels of the hierarchy, the dense coarsest one included."""
         return len(self.levels) + 1
 
     @property
@@ -174,6 +175,9 @@ class AMGHierarchy:
         return [lvl.A.shape[0] for lvl in self.levels] + [self.coarse_inv.shape[0]]
 
     def operator_complexity(self) -> float:
+        """Stored nonzeros of the sparse levels over those of the finest
+        (1.0 with no sparse level); the dense coarsest inverse is not
+        counted."""
         if not self.levels:
             return 1.0
         fine = self.levels[0].A.nnz

@@ -29,6 +29,7 @@ class SolveResult:
 
     @property
     def final_residual(self) -> float:
+        """The last recorded residual norm (NaN when none was recorded)."""
         return self.residuals[-1] if self.residuals else float("nan")
 
 
