@@ -72,7 +72,7 @@ def stable_energy_dt(cgs: CGSpace, u: np.ndarray, kappa: float, cfl: float = 0.4
     h = cgs.mesh.element_volumes()[:nl] ** (1.0 / d)
     en = cgs.ln.element_nodes
     speed = np.linalg.norm(u, axis=1)
-    smax = np.array([speed[en[e]].max() for e in range(nl)]) if nl else np.array([0.0])
+    smax = speed[en[:nl]].max(axis=1) if nl else np.array([0.0])
     dt_adv = h / np.maximum(smax, 1e-12)
     dt_diff = h**2 / max(4.0 * kappa, 1e-300)
     local = float(min(dt_adv.min(), dt_diff.min())) if nl else np.inf
