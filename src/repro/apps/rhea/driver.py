@@ -299,6 +299,7 @@ class RheaRun:
         return {k: 100.0 * v / total for k, v in self.timers.items()}
 
     def velocity_rms(self) -> float:
+        """Root mean square of the owned velocity components."""
         owned = self.ln.is_owned()
         from repro.parallel.ops import SUM
 
