@@ -4,8 +4,9 @@ Q1 finite elements for velocity/pressure/temperature on the 24-octree
 shell (or unit-box test domains), nonlinear temperature- and strain-rate-
 dependent rheology with yielding and plate-boundary weak zones, pressure-
 projection-stabilized Stokes solved by MINRES with a smoothed-aggregation
-AMG V-cycle on the (1,1) block and an inverse-viscosity pressure mass
-matrix on the (2,2) block, SUPG-stabilized energy transport, Picard
+AMG V-cycle on the (1,1) block and BFBT on the (2,2) block (in place of
+the paper's inverse-viscosity pressure mass), SUPG-stabilized energy
+transport, Picard
 (lagged-viscosity) nonlinear iterations, and dynamic AMR interleaved with
 the nonlinear solve.
 

@@ -2,8 +2,9 @@
 block preconditioner for variable-viscosity Stokes (§IV-A).
 
 These stand in for the PETSc/Trilinos-ML stack of the paper's Rhea code:
-MINRES preconditioned by one AMG V-cycle on the (1,1) block and an
-inverse-viscosity pressure mass matrix on the (2,2) block.
+MINRES preconditioned by one AMG V-cycle on the (1,1) block and, on the
+(2,2) block, BFBT with one AMG V-cycle per ``L^-1``
+(:class:`repro.apps.rhea.stokes.BFBTPreconditioner`).
 """
 
 from repro.solvers.krylov import cg, gmres, minres
