@@ -160,6 +160,9 @@ class RheaRun:
             ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm, self.ln)
             self.cgs = CGOperator(degree=1).bind(ctx)
             self.stokes = StokesProblem(self.cgs)
+            bnd = self.cgs.boundary_node_mask(self.conn)
+            self._no_slip = np.repeat(bnd[:, None], self.dim, axis=1)
+            self._no_slip.flags.writeable = False
         self.timers["amr"] += time.perf_counter() - t0
 
     # --- physics --------------------------------------------------------------------
@@ -189,9 +192,9 @@ class RheaRun:
         return f
 
     def _fixed_velocity(self) -> np.ndarray:
-        """No-slip on all physical boundaries (see DESIGN.md substitution)."""
-        bnd = self.cgs.boundary_node_mask(self.conn)
-        return np.repeat(bnd[:, None], self.dim, axis=1)
+        """No-slip on all physical boundaries (see DESIGN.md substitution),
+        as a read-only (n_nodes, dim) mask built once per space."""
+        return self._no_slip
 
     # --- the nonlinear loop --------------------------------------------------------------
 

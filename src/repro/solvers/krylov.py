@@ -85,16 +85,18 @@ def minres(
 
     ``M`` must be symmetric positive definite (the paper's block-diagonal
     Stokes preconditioner is).  Standard Paige-Saunders recurrence in the
-    M-inner product.
+    M-inner product.  With ``x0=None`` it applies ``M`` once per iteration
+    and once before the first.
     """
     # Elman-Silvester-Wathen formulation of preconditioned MINRES.
     x = np.zeros_like(b) if x0 is None else x0.copy()
     v_prev = np.zeros_like(b)
-    v = b - A(x)
+    v = b.copy() if x0 is None else b - A(x)
     z = M(v) if M is not None else v.copy()
     gamma_prev = 1.0
     gamma = np.sqrt(max(dot(z, v), 0.0))
-    bz = M(b) if M is not None else b
+    # From a zero guess the first residual is b, and M(b) is z.
+    bz = z if x0 is None else (M(b) if M is not None else b)
     bnorm = np.sqrt(max(dot(b, bz), 1e-300))
     eta = gamma
     s_prev = s = 0.0

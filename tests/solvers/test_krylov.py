@@ -129,3 +129,20 @@ def test_initial_guess_used():
     b = A @ xstar
     res = cg(lambda v: A @ v, b, x0=xstar.copy(), tol=1e-12)
     assert res.iterations == 0
+
+
+def test_minres_from_a_zero_guess_applies_the_preconditioner_once_more_than_iterations():
+    A = poisson_1d(60)
+    dinv = 1.0 / (A.diagonal() + np.linspace(0.0, 1.0, 60))
+    b = np.sin(np.arange(60.0))
+    calls = []
+
+    def M(r):
+        calls.append(1)
+        return dinv * r
+
+    res = minres(lambda v: A @ v, b, M=M, tol=1e-10, maxiter=200)
+    assert res.converged and len(calls) == res.iterations + 1
+    ref = minres(lambda v: A @ v, b, x0=np.zeros_like(b), M=M, tol=1e-10, maxiter=200)
+    assert ref.iterations == res.iterations
+    np.testing.assert_array_equal(res.x, ref.x)
