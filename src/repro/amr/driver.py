@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mangll.op import transfer_fields
+from repro.mangll.transfer import transfer_nodal_fields
 from repro.p4est import checkpoint as forest_checkpoint
 from repro.p4est.balance import balance
 from repro.p4est.forest import Forest
@@ -150,7 +150,7 @@ def adapt_and_rebalance(
 
     rounds = balance(forest, codim=codim)
 
-    new_fields = [transfer_fields(old, f, forest.local, degree) for f in fields]
+    new_fields = [transfer_nodal_fields(old, f, forest.local, degree) for f in fields]
 
     weights = weights_fn(forest) if weights_fn is not None else None
     # Branch on the caller-supplied field list (uniform across ranks),

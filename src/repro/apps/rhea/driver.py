@@ -21,9 +21,9 @@ import numpy as np
 from repro.amr.driver import adapt_and_rebalance, mark_fixed_fraction
 from repro.apps.rhea.rheology import PlateModel, Rheology, synthetic_temperature
 from repro.apps.rhea.stokes import StokesProblem, StokesResult
+from repro.mangll.cgops import CGSpace
 from repro.mangll.geometry import MultilinearGeometry, ShellGeometry, element_centers
 from repro.mangll.mesh import build_mesh
-from repro.mangll.op import CGOperator, MeshContext
 from repro.p4est.balance import balance
 from repro.p4est.builders import shell, unit_cube, unit_square
 from repro.p4est.forest import Forest
@@ -157,8 +157,7 @@ class RheaRun:
                 self.forest, self.geometry, 1, self.ghost, previous=self.mesh
             )
             self.ln = lnodes(self.forest, self.ghost, 1)
-            ctx = MeshContext(self.forest, self.ghost, self.mesh, self.comm, self.ln)
-            self.cgs = CGOperator(degree=1).bind(ctx)
+            self.cgs = CGSpace(self.mesh, self.ln, self.comm)
             self.stokes = StokesProblem(self.cgs)
             bnd = self.cgs.boundary_node_mask(self.conn)
             self._no_slip = np.repeat(bnd[:, None], self.dim, axis=1)

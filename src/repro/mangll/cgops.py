@@ -132,9 +132,8 @@ class AssemblyPlan(NamedTuple):
 class CGSpace:
     """Continuous Galerkin function space over a forest mesh + LNodes.
 
-    The reference implementation: applications bind
-    :class:`repro.mangll.op.CGOperator`, whose bound operator is a
-    subclass swapping in compiled element kernels tested against these.
+    Applications construct it directly; its element kernels are the only
+    implementation (the kernel compiler lowers the dG RHS alone).
     """
 
     def __init__(self, mesh: Mesh, ln: LNodes, comm: Comm) -> None:

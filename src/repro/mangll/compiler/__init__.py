@@ -5,8 +5,9 @@ Lower -> plan -> emit -> cache:
 * :mod:`~repro.mangll.compiler.ir` — the typed tensor IR (einsum,
   pointwise, stack, bind-time model queries; explicit mutation
   statements).
-* :mod:`~repro.mangll.compiler.lower` — mangll operators written into
-  the IR, preserving the interpreted reference's exact float semantics.
+* :mod:`~repro.mangll.compiler.lower` — the dG RHS of the two model
+  kinds the apps run (``advection``, ``elastic``) written into the IR,
+  preserving the interpreted reference's exact float semantics.
 * :mod:`~repro.mangll.compiler.passes` — CSE, loop-invariant hoisting
   (bind/run staging), fusion (single-use inlining), and buffer planning
   (liveness, workspace slots, block size).
@@ -16,20 +17,22 @@ Lower -> plan -> emit -> cache:
 * :mod:`~repro.mangll.compiler.cache` — in-memory + on-disk source
   cache with versioned fingerprints.
 
-This module is the facade: ``compile_*`` returns a cached
-:class:`CompiledKernel` per specialization key, and ``prepare_*``
-evaluates its bind-stage values against one concrete mesh/model into
-the ``P`` dict the kernel consumes.  A compiled dG kernel is
+This module is the facade: :func:`compile_dg_rhs` returns a cached
+:class:`CompiledKernel` per specialization key, and
+:func:`prepare_dg_rhs` evaluates its bind-stage values against one
+concrete mesh/model into the ``P`` dict the kernel consumes.  A compiled dG kernel is
 ``kernel(q_local, q_all, P)``: it never calls the model, whose queries
 (the advection velocity, the elastic material) run once, at bind.  Apps
 never call these directly — they go through :mod:`repro.mangll.op`.
+Only the dG RHS is compiled: the continuous-Galerkin element kernels
+and field transfer have one (reference) implementation each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -45,18 +48,12 @@ from .emit import (
 )
 from .lower import (
     DG_KINDS,
-    cg_cache_key,
-    cg_tables,
     dg_cache_key,
     dg_tables,
     elastic_batch_envs,
-    lower_cg_elem_laplacian,
-    lower_cg_elem_mass,
     lower_dg_rhs,
     merged_batch_envs,
     model_kind,
-    transfer_cache_key,
-    transfer_source,
 )
 
 __all__ = [
@@ -69,10 +66,6 @@ __all__ = [
     "model_kind",
     "compile_dg_rhs",
     "prepare_dg_rhs",
-    "compile_cg_elem",
-    "prepare_cg_elem",
-    "compile_transfer",
-    "transfer_bind",
 ]
 
 
@@ -82,8 +75,7 @@ class CompiledKernel:
 
     key: str
     module: Dict[str, Any]
-    #: per-function IR analyses, keyed by entry-point name (empty for
-    #: template-emitted kernels such as the p-transfer)
+    #: per-function IR analyses, keyed by entry-point name
     analyses: Dict[str, Analysis]
     #: extra metadata the prepare step needs (e.g. the dG model kind)
     meta: Dict[str, Any]
@@ -192,86 +184,3 @@ def prepare_dg_rhs(compiled: CompiledKernel, solver: Any, model: Any) -> Dict[st
     P["fb"] = fb
     P["ws"] = np.empty(an.workspace_items(rows))
     return P
-
-
-# --- CG element kernels -----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _cg_analyses(dim: int, degree: int) -> Tuple[Analysis, Analysis]:
-    return (
-        analyze(lower_cg_elem_laplacian(dim, degree), pprefix="l."),
-        analyze(lower_cg_elem_mass(dim, degree), pprefix="m."),
-    )
-
-
-def compile_cg_elem(
-    dim: int, degree: int, cache: Optional[KernelCache] = None
-) -> CompiledKernel:
-    """Compile the CG element kernels for one ``(dim, degree)``."""
-    cache = cache if cache is not None else default_cache()
-    key = cg_cache_key(dim, degree)
-    npts = (degree + 1) ** dim
-    an_lap, an_mass = _cg_analyses(dim, degree)
-
-    def build() -> str:
-        prologue = ("ne = wdet.shape[0]",)
-        lap = Emitter(an_lap).emit("elem_laplacian", ("wdet", "P"), prologue)
-        mass = Emitter(an_mass).emit("elem_mass", ("wdet", "P"), prologue)
-        return f"_DIDX = np.arange({npts})\n\n\n" + lap + "\n\n" + mass
-
-    module = cache.get(key, build, validate=lambda b: assert_communication_free(b, key))
-    return CompiledKernel(
-        key=key,
-        module=module,
-        analyses={"elem_laplacian": an_lap, "elem_mass": an_mass},
-        meta={},
-    )
-
-
-def prepare_cg_elem(compiled: CompiledKernel, space: Any) -> Dict[str, Any]:
-    """Bind-stage values (hoisted metric terms) for one CG space."""
-    tables = cg_tables(space)
-    an_lap, an_mass = compiled.analyses["elem_laplacian"], compiled.analyses["elem_mass"]
-    P = BindEvaluator(an_lap, tables).global_bind()
-    P.update(BindEvaluator(an_mass, tables).global_bind())
-    m = space.mesh
-    nl = m.nelem_local
-    # The caller scales this by the coefficient exactly as the
-    # reference does (wdet * coeff); hoisting the product is bit-safe.
-    P["wdet0"] = m.detj[:nl] * m.weights[None, :]
-    # The two kernels never run at once: one workspace serves both.
-    rows = {"main": nl}
-    P["ws"] = np.empty(max(an_lap.workspace_items(rows), an_mass.workspace_items(rows)))
-    return P
-
-
-# --- p-transfer -------------------------------------------------------------
-
-
-def compile_transfer(
-    dim: int, degree: int, cache: Optional[KernelCache] = None
-) -> CompiledKernel:
-    """Compile the p-transfer kernel for one ``(dim, degree)``."""
-    cache = cache if cache is not None else default_cache()
-    key = transfer_cache_key(dim, degree)
-
-    def build() -> str:
-        return transfer_source(dim, degree)
-
-    module = cache.get(key, build, validate=lambda b: assert_communication_free(b, key))
-    return CompiledKernel(key=key, module=module, analyses={}, meta={})
-
-
-def transfer_bind() -> Dict[str, Any]:
-    """The helper table the p-transfer kernel receives as ``P``."""
-    from repro.p4est.octant import is_ancestor_pairwise, searchsorted_octants
-
-    from ..transfer import nested_interp_matrix, nested_project_matrix
-
-    return {
-        "ss": searchsorted_octants,
-        "iap": is_ancestor_pairwise,
-        "interp": nested_interp_matrix,
-        "project": nested_project_matrix,
-    }

@@ -130,8 +130,6 @@ class Analysis:
     region_batch_bind: Dict[str, Tuple[int, ...]]
     #: region -> emitted lines
     regions: Dict[str, RegionCode]
-    #: namespace of this graph's ``P`` keys (several kernels may share one P)
-    pprefix: str = ""
 
     def workspace_items(self, rows: Dict[str, int]) -> int:
         """Workspace size for a binding whose regions see ``rows`` lead rows.
@@ -331,7 +329,7 @@ class _Region:
         else:
             self.used_bind.add(cid)
             table = "B" if cid in self.ctx.batch_dep else "P"
-            text = f'{table}["{self.ctx.pprefix}v{cid}"]'
+            text = f'{table}["v{cid}"]'
         if self.lead is None:
             return _Val(text, probe)
         if probe is None:
@@ -573,17 +571,14 @@ class _Region:
             assert s.rows is not None and s.value is not None
             self.ensure(s.value)
             val = self.val(s.value)
-            self._line(f'P["{self.ctx.pprefix}lb"][{self.val(s.rows).text}] = {val.text}',
-                       None, val.roots)
+            self._line(f'P["lb"][{self.val(s.rows).text}] = {val.text}', None, val.roots)
             return
         assert s.target is not None
         self.ensure(s.target)
         tgt = self.val(s.target)
         if s.kind == "lift":
-            pp = self.ctx.pprefix
             self._line(
-                f'np.subtract.at({_atom(tgt.text)}.reshape(-1), P["{pp}lt"], '
-                f'P["{pp}lb"].reshape(-1))',
+                f'np.subtract.at({_atom(tgt.text)}.reshape(-1), P["lt"], P["lb"].reshape(-1))',
                 self._written(tgt), tgt.roots,
             )
             return
@@ -626,10 +621,9 @@ class _Region:
 class _Context:
     """What every region of one graph shares: probes, bind bookkeeping."""
 
-    def __init__(self, graph: Graph, plan: Plan, pprefix: str) -> None:
+    def __init__(self, graph: Graph, plan: Plan) -> None:
         self.graph = graph
         self.plan = plan
-        self.pprefix = pprefix
         batch_dep: Set[int] = set()
         for node in graph.nodes:
             if plan.canon(node.id) != node.id:
@@ -751,13 +745,10 @@ def _emit_region(
     return rb, rc
 
 
-def analyze(graph: Graph, pprefix: str = "") -> Analysis:
-    """Run the passes, linearize every region, and lay out the bind values.
-
-    ``pprefix`` namespaces ``P`` keys when several kernels share one P.
-    """
+def analyze(graph: Graph) -> Analysis:
+    """Run the passes, linearize every region, and lay out the bind values."""
     p = run_passes(graph)
-    ctx = _Context(graph, p, pprefix)
+    ctx = _Context(graph, p)
     by_region: Dict[str, List[Stmt]] = {}
     for s in graph.stmts:
         by_region.setdefault(s.region, []).append(s)
@@ -802,7 +793,6 @@ def analyze(graph: Graph, pprefix: str = "") -> Analysis:
         global_bind=tuple(sorted(used_global)),
         region_batch_bind={r: tuple(sorted(c)) for r, c in used_batch.items()},
         regions=regions,
-        pprefix=pprefix,
     )
 
 
@@ -865,9 +855,7 @@ class Emitter:
 class BindEvaluator:
     """Evaluates the bind-stage subgraph into the P/B value dicts."""
 
-    def __init__(
-        self, analysis: Analysis, tables: Dict[str, Any], model: Any = None
-    ) -> None:
+    def __init__(self, analysis: Analysis, tables: Dict[str, Any], model: Any) -> None:
         """``tables`` names the ``table`` leaves; ``model`` serves externs."""
         self.an = analysis
         self.g = analysis.graph
@@ -899,10 +887,7 @@ class BindEvaluator:
 
     def global_bind(self) -> Dict[str, Any]:
         """All ``P`` entries of this graph."""
-        return {
-            f"{self.an.pprefix}v{cid}": self._eval(cid, None, None)
-            for cid in self.an.global_bind
-        }
+        return {f"v{cid}": self._eval(cid, None, None) for cid in self.an.global_bind}
 
     def batch_bind(self, region: str, env: Dict[str, Any]) -> Dict[str, Any]:
         """The ``B`` entries for one mortar batch of ``region``."""

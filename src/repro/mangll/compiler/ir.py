@@ -162,9 +162,9 @@ class Graph:
         """A pointwise expression template (``{0}``, ``{1}`` … inputs)."""
         return self.add("pw", tuple(inputs), expr=expr)
 
-    def einsum(self, subs: str, *inputs: int, commutative: bool = False) -> int:
-        """A contraction; ``commutative`` lets CSE canonicalize operands."""
-        return self.add("einsum", tuple(inputs), subs=subs, commutative=commutative)
+    def einsum(self, subs: str, *inputs: int) -> int:
+        """A contraction."""
+        return self.add("einsum", tuple(inputs), subs=subs)
 
     def stack(self, *inputs: int) -> int:
         """Equal-shaped inputs as the planes of one ``(len, ...)`` block."""
@@ -226,12 +226,9 @@ class Graph:
         return frozenset(out)
 
     def structural_key(self, nid: int, remap: Dict[int, int]) -> Tuple:
-        """CSE key of a node under an id remap (commutative-aware)."""
+        """CSE key of a node under an id remap."""
         node = self.nodes[nid]
-        inputs = tuple(remap.get(i, i) for i in node.inputs)
-        if node.attr("commutative"):
-            inputs = tuple(sorted(inputs))
-        return (node.op, inputs, node.attrs)
+        return (node.op, tuple(remap.get(i, i) for i in node.inputs), node.attrs)
 
 
 # --- Evaluation -------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Lowering: mangll operators -> tensor IR graphs (plus bind providers).
+"""Lowering: the dG RHS -> a tensor IR graph (plus bind providers).
 
-Each ``lower_*`` function writes the *reference implementation's exact
-computation* (:mod:`repro.mangll.dg`, :mod:`repro.mangll.cgops`) into a
+:func:`lower_dg_rhs` writes the *reference implementation's exact
+computation* (:mod:`repro.mangll.dg`) into a
 :class:`~repro.mangll.compiler.ir.Graph`, preserving every einsum
 subscript string and the associativity of every pointwise template.
 The passes then hoist the time-invariant subgraphs (geometry factors,
@@ -102,16 +102,6 @@ _DT_SUBS = {
 def dg_cache_key(dim: int, degree: int, nfields: int, kind: str) -> str:
     """Specialization key for a dG RHS kernel."""
     return f"dg_rhs-d{dim}-p{degree}-f{nfields}-{kind}"
-
-
-def cg_cache_key(dim: int, degree: int) -> str:
-    """Specialization key for the CG element-kernel module."""
-    return f"cg_elem-d{dim}-p{degree}"
-
-
-def transfer_cache_key(dim: int, degree: int) -> str:
-    """Specialization key for the p-transfer kernel."""
-    return f"transfer-d{dim}-p{degree}"
 
 
 # --- dG RHS -----------------------------------------------------------------
@@ -550,152 +540,6 @@ def lower_dg_rhs(dim: int, degree: int, nfields: int, kind: str) -> Graph:
     return g
 
 
-# --- CG element kernels -----------------------------------------------------
-
-
-def lower_cg_elem_laplacian(dim: int, degree: int) -> Graph:
-    """Element stiffness graph (cgops.CGSpace.elem_laplacian).
-
-    Kernel contract: ``elem_laplacian(wdet, P) -> K`` where ``wdet`` is
-    the (possibly coefficient-scaled) quadrature factor the caller
-    computes exactly as the reference does.  The metric terms ``g_ab``
-    hoist to bind time and the commutative CSE shares ``g_ab``/``g_ba``.
-    """
-    nq = degree + 1
-    npts = nq**dim
-    g = Graph()
-    wdet = g.arg("wdet", ("e", npts))
-    jinv = g.table("jinv", ("e", npts, dim, dim))
-    Gt = [g.table(f"g{a}", (npts, npts)) for a in range(dim)]
-    K = g.pw(f"np.zeros(({{0}}.shape[0], {npts}, {npts}))", wdet)
-    for a in range(dim):
-        ja = g.pw(f"{{0}}[:, :, {a}, :]", jinv)
-        for b in range(dim):
-            jb = g.pw(f"{{0}}[:, :, {b}, :]", jinv)
-            gab = g.einsum("epc,epc->ep", ja, jb, commutative=True)
-            term = g.einsum(
-                "qi,eq,qj->eij", Gt[a], g.pw("{0} * {1}", wdet, gab), Gt[b]
-            )
-            g.iop("+", K, term)
-    g.ret(K)
-    return g
-
-
-def lower_cg_elem_mass(dim: int, degree: int) -> Graph:
-    """Element diagonal-mass graph (cgops.CGSpace.elem_mass)."""
-    nq = degree + 1
-    npts = nq**dim
-    g = Graph()
-    wdet = g.arg("wdet", ("e", npts))
-    M = g.pw(f"np.zeros(({{0}}.shape[0], {npts}, {npts}))", wdet)
-    g.setitem(M, ":, _DIDX, _DIDX", wdet)
-    g.ret(M)
-    return g
-
-
-# --- p-transfer -------------------------------------------------------------
-
-
-def transfer_source(dim: int, degree: int) -> str:
-    """Generated source of the p-transfer kernel for ``(dim, degree)``.
-
-    The irregular part (classifying each new element against the old
-    leaf set) keeps the reference's exact control flow; the dense part
-    is restructured: the dead quadrature-weight setup is dropped, the
-    FINER groups keep their batched einsum, and the per-element COARSER
-    projection loop becomes one stacked ``np.matmul`` plus an ordered
-    ``np.add.at`` — sequential accumulation into zero rows in the
-    reference's pair order, hence bit-identical to its ``acc`` loop.
-    Octant helpers and the cached projection/interpolation matrix
-    builders arrive through ``P``.
-    """
-    nq = degree + 1
-    npts = nq**dim
-    return f'''
-def transfer(old_octants, q_old, new_octants, P):
-    """Move nodal fields old -> new leaf set (dim={dim}, degree={degree})."""
-    ss = P["ss"]
-    iap = P["iap"]
-    nf = q_old.shape[-1]
-    q_new = np.zeros((len(new_octants), {npts}, nf))
-    if len(new_octants) == 0:
-        return q_new
-
-    pos_eq = ss(old_octants, new_octants, side="left")
-    pos_eq_c = np.minimum(pos_eq, len(old_octants) - 1)
-    cand = old_octants[pos_eq_c]
-    eq = (
-        (cand.tree == new_octants.tree)
-        & (cand.x == new_octants.x)
-        & (cand.y == new_octants.y)
-        & (cand.z == new_octants.z)
-        & (cand.level == new_octants.level)
-    )
-    q_new[eq] = q_old[pos_eq_c[eq]]
-
-    rest = np.flatnonzero(~eq)
-    if len(rest) == 0:
-        return q_new
-
-    sub = new_octants[rest]
-    posr = ss(old_octants, sub, side="right")
-    anc_idx = np.maximum(posr - 1, 0)
-    anc = old_octants[anc_idx]
-    finer = (posr > 0) & iap(anc, sub) & (anc.level < sub.level)
-
-    if finer.any():
-        f_idx = rest[finer]
-        f_anc = anc_idx[finer]
-        fo = new_octants[f_idx]
-        ao = old_octants[f_anc]
-        k = (fo.level - ao.level).astype(np.int64)
-        hn = fo.lens()
-        offs = [
-            ((getattr(fo, c) - getattr(ao, c)) // hn).astype(np.int64)
-            for c in ("x", "y", "z")
-        ]
-        sig = k.copy()
-        for a in range({dim}):
-            sig = sig * (1 << 20) + offs[a]
-        for s in np.unique(sig):
-            grp = np.flatnonzero(sig == s)
-            kk = int(k[grp[0]])
-            off = tuple(int(offs[a][grp[0]]) for a in range({dim}))
-            M = P["interp"]({dim}, {nq}, kk, off)
-            q_new[f_idx[grp]] = np.einsum("qs,esf->eqf", M, q_old[f_anc[grp]])
-
-    coarser = ~finer
-    if coarser.any():
-        c_new = rest[coarser]
-        co = new_octants[c_new]
-        lo = ss(old_octants, co, side="right")
-        hi = ss(old_octants, co.last_descendants(), side="right")
-        rows = []
-        olds = []
-        mats = []
-        for j, newi in enumerate(c_new):
-            a, b = int(lo[j]), int(hi[j])
-            if a >= b:
-                raise ValueError("new element has no old counterpart (not nested)")
-            no = new_octants[np.array([int(newi)])]
-            for oi in range(a, b):
-                oo = old_octants[np.array([oi])]
-                kk = int(oo.level[0] - no.level[0])
-                hn = int(oo.lens()[0])
-                off = tuple(
-                    int((getattr(oo, c)[0] - getattr(no, c)[0]) // hn)
-                    for c in ("x", "y", "z")
-                )[:{dim}]
-                rows.append(int(newi))
-                olds.append(oi)
-                mats.append(P["project"]({dim}, {nq}, kk, off))
-        contrib = np.matmul(np.stack(mats), q_old[np.array(olds)])
-        np.add.at(q_new, np.array(rows), contrib)
-
-    return q_new
-'''.lstrip("\n")
-
-
 # --- Bind providers ---------------------------------------------------------
 
 
@@ -929,19 +773,6 @@ def permutation_rows(tr: np.ndarray) -> Optional[np.ndarray]:
     if (tr.sum(axis=0) != 1.0).any() or (tr.sum(axis=1) != 1.0).any():
         return None
     return tr.argmax(axis=1)
-
-
-def cg_tables(space) -> Dict[str, object]:
-    """Global bind environment for the CG element-kernel graphs."""
-    from ..cgops import gradient_matrices
-
-    m = space.mesh
-    nl = m.nelem_local
-    G = gradient_matrices(space.dim, space.nq)
-    env: Dict[str, object] = {"jinv": m.jinv[:nl]}
-    for a in range(space.dim):
-        env[f"g{a}"] = G[a]
-    return env
 
 
 def model_kind(model) -> str:

@@ -1,7 +1,7 @@
 """The operator frontend of mangll: declarative specs, bound operators.
 
-Applications describe the operator they want as a small frozen spec and
-*bind* it to a mesh::
+Applications describe the dG operator they want as a small frozen spec
+and *bind* it to a mesh::
 
     ctx = MeshContext(forest, ghost, mesh, comm)
     L = DGOperator(model, degree=3).bind(ctx)
@@ -24,14 +24,16 @@ Binding chooses between two interchangeable executions:
   ``rhs`` stays in this frontend, where the collective sanitizer and
   spmdlint can see it.
 * **interpreted** (``compile=False`` on the spec) — the bound operator
-  runs the hand-written reference implementation (``DGSolver`` /
-  ``CGSpace`` / ``transfer_nodal_fields``) the compiled kernels are
-  tested against, for any flux model.
+  runs the hand-written reference :class:`~repro.mangll.dg.DGSolver`
+  the compiled kernels are tested against, for any flux model.
+
+The continuous-Galerkin space (:class:`~repro.mangll.cgops.CGSpace`)
+and field transfer (:func:`~repro.mangll.transfer.transfer_nodal_fields`)
+have one implementation each and are used directly.
 
 Compilation and bind-evaluation run inside the ``Compile`` trace phase;
-operator application keeps the reference's phase labels (``Apply``,
-``Transfer``), so Figure-7 style breakdowns stay comparable across
-modes.
+``rhs`` keeps the reference's ``Apply`` phase label, so Figure-7 style
+breakdowns stay comparable across modes.
 """
 
 from __future__ import annotations
@@ -42,23 +44,13 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.mangll import compiler as kc
-from repro.mangll.cgops import CGSpace
 from repro.mangll.dg import DGSolver
 from repro.mangll.dgops import DGSpace
-from repro.mangll.transfer import transfer_nodal_fields
 from repro.parallel.collectives import collective
 from repro.parallel.comm import Comm
-from repro.trace.tracer import PHASE_APPLY, PHASE_COMPILE, PHASE_TRANSFER, phase
+from repro.trace.tracer import PHASE_APPLY, PHASE_COMPILE, phase
 
-__all__ = [
-    "MeshContext",
-    "DGOperator",
-    "BoundDGOperator",
-    "CGOperator",
-    "BoundCGOperator",
-    "TransferOperator",
-    "transfer_fields",
-]
+__all__ = ["MeshContext", "DGOperator", "BoundDGOperator"]
 
 
 # --- Mesh context -----------------------------------------------------------
@@ -66,17 +58,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeshContext:
-    """Everything an operator bind needs to know about the mesh.
-
-    ``ln`` (the cG node numbering) is only required by
-    :class:`CGOperator`; dG binds leave it ``None``.
-    """
+    """Everything an operator bind needs to know about the mesh."""
 
     forest: Any
     ghost: Any
     mesh: Any
     comm: Comm
-    ln: Any = None
 
 
 # --- dG ---------------------------------------------------------------------
@@ -170,115 +157,3 @@ class BoundDGOperator:
     def integrate_quantity(self, q_local: np.ndarray) -> np.ndarray:
         """Global integral of each field (collective allreduce)."""
         return self.solver.integrate_quantity(q_local)
-
-
-# --- CG ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CGOperator:
-    """Spec for the continuous-Galerkin function space and its kernels."""
-
-    degree: int
-    compile: bool = True
-
-    def bind(self, ctx: MeshContext) -> "BoundCGOperator":
-        """Bind to a mesh; requires ``ctx.ln`` (the cG node numbering)."""
-        if ctx.ln is None:
-            raise ValueError("CGOperator.bind needs MeshContext.ln (see lnodes())")
-        if ctx.mesh.degree != self.degree:
-            raise ValueError(
-                f"CGOperator degree {self.degree} != mesh degree {ctx.mesh.degree}"
-            )
-        return BoundCGOperator(ctx.mesh, ctx.ln, ctx.comm, self.compile)
-
-
-class BoundCGOperator(CGSpace):
-    """A :class:`CGSpace` whose element kernels are optionally compiled.
-
-    Bound compiled, ``elem_laplacian`` / ``elem_mass`` run the
-    specialized flat kernels with the metric contraction hoisted to bind
-    time; everything else (assembly scatter, matvec, reductions — the
-    distributed, collective pieces) is the reference's, inherited.
-    """
-
-    def __init__(self, mesh: Any, ln: Any, comm: Comm, compile: bool) -> None:
-        super().__init__(mesh, ln, comm)
-        self._lap: Optional[Callable[..., np.ndarray]] = None
-        self._mass: Optional[Callable[..., np.ndarray]] = None
-        self._P: Optional[Dict[str, Any]] = None
-        if compile:
-            with phase(PHASE_COMPILE):
-                compiled = kc.compile_cg_elem(self.dim, mesh.degree)
-                self._P = kc.prepare_cg_elem(compiled, self)
-                self._lap = compiled.fn("elem_laplacian")
-                self._mass = compiled.fn("elem_mass")
-                self.kernel_key = compiled.key
-
-    def _wdet(self, coeff: Optional[np.ndarray]) -> np.ndarray:
-        """``w * detJ`` scaled by the coefficient, as the reference does."""
-        assert self._P is not None
-        wdet = self._P["wdet0"]
-        return wdet if coeff is None else wdet * coeff
-
-    def elem_laplacian(self, coeff: Optional[np.ndarray] = None) -> np.ndarray:
-        """Element stiffness: int coeff grad(phi_i) . grad(phi_j)."""
-        if self._lap is None:
-            return super().elem_laplacian(coeff)
-        return self._lap(self._wdet(coeff), self._P)
-
-    def elem_mass(self, coeff: Optional[np.ndarray] = None) -> np.ndarray:
-        """Element (LGL-collocated, diagonal) mass matrices."""
-        if self._mass is None:
-            return super().elem_mass(coeff)
-        return self._mass(self._wdet(coeff), self._P)
-
-
-# --- p-transfer -------------------------------------------------------------
-
-
-def transfer_fields(
-    old_octants: Any,
-    q_old: np.ndarray,
-    new_octants: Any,
-    degree: int,
-    *,
-    compile: bool = True,
-) -> np.ndarray:
-    """Transfer nodal fields between forests (compiled or interpreted).
-
-    The compiled path runs the specialized per-``(dim, degree)`` kernel
-    (reference-identical classification, batched coarsening matmuls);
-    the interpreted path is :func:`~repro.mangll.transfer.transfer_nodal_fields`.
-    Both are communication-free and carry the ``Transfer`` phase label.
-    """
-    if not compile:
-        return transfer_nodal_fields(old_octants, q_old, new_octants, degree)
-    dim = old_octants.dim
-    npts = (degree + 1) ** dim
-    squeeze = q_old.ndim == 2
-    q = q_old[..., None] if squeeze else q_old
-    if q.shape[:2] != (len(old_octants), npts):
-        raise ValueError("q_old shape does not match old octants/degree")
-    with phase(PHASE_COMPILE):
-        compiled = kc.compile_transfer(dim, degree)
-        P = kc.transfer_bind()
-    with phase(PHASE_TRANSFER):
-        out = compiled.fn("transfer")(old_octants, q, new_octants, P)
-    return out[..., 0] if squeeze else out
-
-
-@dataclass(frozen=True)
-class TransferOperator:
-    """Spec for inter-mesh solution transfer at one polynomial degree."""
-
-    degree: int
-    compile: bool = True
-
-    def apply(
-        self, old_octants: Any, q_old: np.ndarray, new_octants: Any
-    ) -> np.ndarray:
-        """Transfer ``q_old`` from the old octant list onto the new one."""
-        return transfer_fields(
-            old_octants, q_old, new_octants, self.degree, compile=self.compile
-        )

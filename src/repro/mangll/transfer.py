@@ -119,15 +119,9 @@ def transfer_nodal_fields(
     if len(new_octants) == 0:
         return q_new[..., 0] if squeeze else q_new
 
-    _, w1 = gauss_lobatto(nq)
-    w = w1.copy()
-    for _ in range(dim - 1):
-        w = np.kron(w1, w)
-
     # Classify each new element against the old set.
     pos_eq = searchsorted_octants(old_octants, new_octants, side="left")
     pos_eq_c = np.minimum(pos_eq, len(old_octants) - 1)
-    eq = np.zeros(len(new_octants), dtype=bool)
     cand = old_octants[pos_eq_c]
     eq = (
         (cand.tree == new_octants.tree)

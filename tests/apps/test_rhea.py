@@ -8,8 +8,8 @@ from repro.apps.rhea.driver import RheaConfig, RheaRun
 from repro.apps.rhea.energy import stable_energy_dt, supg_energy_rhs
 from repro.apps.rhea.rheology import PlateModel, Rheology, synthetic_temperature
 from repro.apps.rhea.stokes import StokesProblem
+from repro.mangll.cgops import CGSpace
 from repro.mangll.geometry import MultilinearGeometry
-from repro.mangll.op import CGOperator, MeshContext
 from repro.mangll.mesh import build_mesh
 from repro.p4est.balance import balance
 from repro.p4est.builders import unit_square
@@ -81,9 +81,7 @@ def make_cgs(level=3, refine_fn=None):
         balance(forest)
     ghost = build_ghost(forest)
     mesh = build_mesh(forest, MultilinearGeometry(conn), 1, ghost)
-    ln = lnodes(forest, ghost, 1)
-    ctx = MeshContext(forest, ghost, mesh, comm, ln)
-    return conn, forest, CGOperator(1).bind(ctx)
+    return conn, forest, CGSpace(mesh, lnodes(forest, ghost, 1), comm)
 
 
 def test_stokes_zero_force_zero_velocity():

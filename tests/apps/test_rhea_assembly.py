@@ -17,10 +17,9 @@ import repro.apps.rhea.stokes as stokes_module
 from repro.apps.rhea.driver import RheaConfig, RheaRun
 from repro.apps.rhea.energy import supg_energy_rhs
 from repro.apps.rhea.stokes import BFBTPreconditioner, StokesProblem
-from repro.mangll.cgops import apply_dirichlet, eliminate_dirichlet
+from repro.mangll.cgops import CGSpace, apply_dirichlet, eliminate_dirichlet
 from repro.mangll.geometry import MultilinearGeometry
 from repro.mangll.mesh import build_mesh
-from repro.mangll.op import CGOperator, MeshContext
 from repro.p4est.balance import balance
 from repro.p4est.builders import unit_cube
 from repro.p4est.forest import Forest
@@ -43,7 +42,7 @@ def space():
     ghost = build_ghost(forest)
     mesh = build_mesh(forest, MultilinearGeometry(conn), 1, ghost)
     ln = lnodes(forest, ghost, 1)
-    cgs = CGOperator(degree=1).bind(MeshContext(forest, ghost, mesh, comm, ln))
+    cgs = CGSpace(mesh, ln, comm)
     face_hangs = (ln.hanging_face >= 0).any(axis=1)
     edge_hangs = (ln.hanging_edge >= 0).any(axis=1)
     assert face_hangs.any() and (edge_hangs & ~face_hangs).any()

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from repro.mangll.cgops import (
+    CGSpace,
     apply_dirichlet,
     edge_node_indices,
     gradient_matrices,
     hanging_operator,
 )
 from repro.mangll.geometry import MultilinearGeometry
-from repro.mangll.op import CGOperator, MeshContext
 from repro.mangll.mesh import build_mesh
 from repro.p4est.balance import balance
 from repro.p4est.builders import brick_2d, unit_cube, unit_square
@@ -31,9 +31,7 @@ def make_cg(conn, comm, level, degree, refine_fn=None):
         forest.partition()
     ghost = build_ghost(forest)
     mesh = build_mesh(forest, MultilinearGeometry(conn), degree, ghost)
-    ln = lnodes(forest, ghost, degree)
-    ctx = MeshContext(forest, ghost, mesh, comm, ln)
-    return forest, CGOperator(degree).bind(ctx)
+    return forest, CGSpace(mesh, lnodes(forest, ghost, degree), comm)
 
 
 def test_gradient_matrices_exact():
@@ -218,7 +216,7 @@ def _rotcubes_lin_residual(level):
     ghost = build_ghost(forest)
     mesh = build_mesh(forest, MultilinearGeometry(conn), 1, ghost)
     ln = lnodes(forest, ghost, 1)
-    cgs = CGOperator(1).bind(MeshContext(forest, ghost, mesh, comm, ln))
+    cgs = CGSpace(mesh, ln, comm)
     A = cgs.assemble_matrix(cgs.elem_laplacian())
     xyz = cgs.node_coords(MultilinearGeometry(conn))
     lin = 0.7 * xyz[:, 0] - 1.3 * xyz[:, 1] + 0.4 * xyz[:, 2] + 2.0
@@ -259,7 +257,7 @@ def test_shell_mass_and_constants_degree3():
     geo = ShellGeometry(0.55, 1.0)
     mesh = build_mesh(forest, geo, 3, ghost)
     ln = lnodes(forest, ghost, 3)
-    cgs = CGOperator(3).bind(MeshContext(forest, ghost, mesh, comm, ln))
+    cgs = CGSpace(mesh, ln, comm)
     A = cgs.assemble_matrix(cgs.elem_laplacian())
     ones = np.ones(ln.num_local_nodes)
     np.testing.assert_allclose(A @ ones, 0.0, atol=1e-8)

@@ -5,8 +5,9 @@ on the seed scenarios below (and the capture asserts compiled ==
 interpreted before writing, so the two pins coincide).  The tests
 re-run the scenarios through the compiled :mod:`repro.mangll.op`
 frontend and require every per-rank output hash — dG RHS, one LSRK
-step, stable dt, integrated quantities, CG element matrices, and a
-p-transfer — to match exactly.  A compiler pass that changes a single
+step, stable dt, integrated quantities, and a p-transfer — to match
+exactly.  (The transfer has one implementation, so its hash pins the
+reference itself.)  A compiler pass that changes a single
 bit anywhere fails here before it can reach a benchmark.
 
 Regenerate (only when an *intentional* numerics change lands) with::
@@ -24,8 +25,9 @@ import pytest
 from repro.mangll.geometry import MultilinearGeometry
 from repro.mangll.mesh import build_mesh
 from repro.mangll.models import AdvectionModel
-from repro.mangll.op import DGOperator, MeshContext, transfer_fields
+from repro.mangll.op import DGOperator, MeshContext
 from repro.mangll.rk import lsrk45_step
+from repro.mangll.transfer import transfer_nodal_fields
 from repro.p4est.balance import balance
 from repro.p4est.builders import unit_cube, unit_square
 from repro.p4est.forest import Forest
@@ -78,9 +80,7 @@ def _run_scenario(comm, scenario, mode) -> dict:
     q1 = lsrk45_step(q, 0.0, dt, op)
     mass = op.integrate_quantity(q1)
     coarse = Forest.new(forest.conn, comm, level=1)
-    moved = transfer_fields(
-        forest.local, q[..., 0], coarse.local, degree, compile=compile_flag
-    )
+    moved = transfer_nodal_fields(forest.local, q[..., 0], coarse.local, degree)
     return {
         "rhs": _hash(r),
         "step": _hash(q1),

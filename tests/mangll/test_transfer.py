@@ -121,6 +121,35 @@ def test_transfer_vector_fields():
     np.testing.assert_allclose(q1[..., 2], x1[..., 0] + x1[..., 1], atol=1e-12)
 
 
+@pytest.mark.parametrize("dim,conn_fn", [(2, unit_square), (3, unit_cube)])
+def test_field_stack_transfers_like_its_fields(dim, conn_fn):
+    """A squeezed ``(n, npts)`` field keeps its shape, and each field of an
+    ``(n, npts, k)`` stack transfers like that field alone, coarsening and
+    refining.  Bitwise for ``k = 1``; for ``k > 1`` the batched products
+    (matrix-matrix instead of matrix-vector) round differently, so to a
+    few ulps."""
+    degree, npts = 3, 4**dim
+    forest = Forest.new(conn_fn(), SerialComm(), level=1)
+    forest.refine(mask=np.random.default_rng(5).random(forest.local_count) < 0.4)
+    balance(forest)
+    old = forest.local.copy()
+    coarse = Forest.new(conn_fn(), SerialComm(), level=1).local
+    forest.refine(mask=np.ones(forest.local_count, dtype=bool))
+    rng = np.random.default_rng(11)
+    for new in (coarse, forest.local):
+        q1 = rng.standard_normal((len(old), npts))
+        one = transfer_nodal_fields(old, q1, new, degree)
+        assert one.shape == (len(new), npts)
+        assert np.array_equal(one, transfer_nodal_fields(old, q1[..., None], new, degree)[..., 0])
+        for k in (2, 3):
+            q = rng.standard_normal((len(old), npts, k))
+            got = transfer_nodal_fields(old, q, new, degree)
+            assert got.shape == (len(new), npts, k)
+            for f in range(k):
+                want = transfer_nodal_fields(old, q[..., f], new, degree)
+                np.testing.assert_allclose(got[..., f], want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
 def test_transfer_shape_validation():
     forest = Forest.new(unit_square(), SerialComm(), level=1)
     with pytest.raises(ValueError):
