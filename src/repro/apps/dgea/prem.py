@@ -94,13 +94,6 @@ class PREM:
         vmin = np.where(vs > 0.1, vs, vp)
         return vmin / frequency
 
-    def min_velocity_in_shell(self) -> float:
-        """Slowest propagation speed in the solid mantle + crust."""
-        vs_values = [l[6] for l in _LAYERS if l[0] >= CMB_RADIUS_KM] + [
-            l[7] for l in _LAYERS if l[0] >= CMB_RADIUS_KM
-        ]
-        return min(v for v in vs_values if v > 0)
-
 
 def prem_model(outer_radius_mesh: float = 1.0) -> PREM:
     """Convenience constructor."""

@@ -175,10 +175,6 @@ class KernelCache:
             # A read-only or full cache dir degrades to memory-only.
             pass
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory table (disk entries survive)."""
-        self._mem.clear()
-
 
 def _exec_kernel_source(body: str, key: str) -> Dict[str, Any]:
     """Exec generated source in a namespace exposing only numpy."""

@@ -237,7 +237,3 @@ def element_centers(octants, geometry: Geometry) -> np.ndarray:
         out[sel] = geometry.map_points(int(tree), u[sel])
     return out
 
-
-def default_geometry(conn: Connectivity) -> Geometry:
-    """The multilinear geometry over the connectivity's vertices."""
-    return MultilinearGeometry(conn)

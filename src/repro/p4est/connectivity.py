@@ -384,9 +384,6 @@ class Connectivity:
     def num_trees(self) -> int:
         return len(self.tree_to_vertex)
 
-    def tree_corner_vertex(self, tree: int, corner: int) -> int:
-        return int(self.tree_to_vertex[tree, corner])
-
     def is_boundary_face(self, tree: int, face: int) -> bool:
         return (tree, face) not in self.face_links
 

@@ -86,11 +86,6 @@ class SpmdReport:
         """Per-rank return values, indexed by rank."""
         return [o.value for o in self.outcomes]
 
-    @property
-    def max_compute_seconds(self) -> float:
-        """Largest per-rank compute time (the critical path's lower bound)."""
-        return max(o.compute_seconds for o in self.outcomes)
-
     def merged_stats(self) -> CommStats:
         """All ranks' communication counters accumulated into one table."""
         merged = CommStats()

@@ -23,12 +23,6 @@ class MachineModel:
     beta: float  # seconds per byte (inverse effective bandwidth)
     collective_factor: float = 1.0  # multiplier on log2(P) tree depth
 
-    def latency_cost(self, messages: float) -> float:
-        return self.alpha * messages
-
-    def volume_cost(self, bytes_: float) -> float:
-        return self.beta * bytes_
-
     def allreduce_cost(self, P: int, bytes_: float) -> float:
         """Tree reduction + broadcast."""
         import math

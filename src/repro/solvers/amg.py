@@ -4,8 +4,8 @@ A from-scratch stand-in for the ML (Trilinos) smoothed-aggregation solver
 the paper uses to precondition the (1,1) block of the Stokes operator
 (§IV-A): strength-of-connection filtering, greedy aggregation, a
 prolongator smoothed by one damped-Jacobi step, Galerkin coarse operators,
-and a V-cycle with symmetric Gauss-Seidel (or Chebyshev / damped-Jacobi)
-smoothing and a dense coarsest solve.
+and a V-cycle with symmetric Gauss-Seidel (or Chebyshev) smoothing and a
+dense coarsest solve.
 
 Everything a cycle needs is prepared once in :func:`smoothed_aggregation`
 (the factored Gauss-Seidel triangle, the restriction ``P.T`` as CSR), so
@@ -134,9 +134,8 @@ class Level:
     P: sp.csr_matrix  # prolongator to this level from the next
     R: sp.csr_matrix  # restriction P.T, stored as CSR
     dinv: np.ndarray
-    omega: float
     smoother: str = "sgs"
-    # Factored U + D.  A triangular matrix factored in natural order
+    # Factored U + D (SGS levels only).  A triangular matrix factored in natural order
     # without pivoting has no fill, so ``.solve`` is the backward
     # Gauss-Seidel sweep and ``.solve(r, trans="T")`` the forward one:
     # (U + D)^T = L + D for symmetric A.
@@ -200,15 +199,12 @@ class AMGHierarchy:
         """
         if lvl.smoother == "chebyshev":
             return self._chebyshev(lvl, x, b, degree=max(2, sweeps + 1))
+        assert lvl.upper is not None
         for _ in range(sweeps):
             r = b if x is None else b - lvl.A @ x
-            if lvl.upper is not None:
-                dx = lvl.upper.solve(r, trans="T")
-                x = dx if x is None else x + dx
-                x = x + lvl.upper.solve(b - lvl.A @ x)
-            else:
-                dx = lvl.omega * lvl.dinv * r
-                x = dx if x is None else x + dx
+            dx = lvl.upper.solve(r, trans="T")
+            x = dx if x is None else x + dx
+            x = x + lvl.upper.solve(b - lvl.A @ x)
         return np.zeros_like(b) if x is None else x
 
     def _chebyshev(
@@ -292,7 +288,6 @@ def smoothed_aggregation(
     max_levels: int = 12,
     coarse_size: int = 60,
     block_size: int = 1,
-    jacobi_omega_factor: float = 2.0 / 3.0,
     presmooth: int = 1,
     postsmooth: int = 1,
     smoother: str = "sgs",
@@ -300,15 +295,15 @@ def smoothed_aggregation(
     """Build a smoothed-aggregation hierarchy for (block-)SPD ``A``.
 
     ``smoother`` is ``"sgs"`` (symmetric Gauss-Seidel, the default, as in
-    ML), ``"chebyshev"`` (polynomial, matvec-only — ML's choice at high
-    core counts), or ``"jacobi"`` (damped Jacobi).
+    ML) or ``"chebyshev"`` (polynomial, matvec-only — ML's choice at high
+    core counts).
 
     Decoupled nodes (see :func:`_coupled_rows`) are solved exactly by the
     V-cycle and take no part in the hierarchy, so no level and no coarse
     solve carries them.
     """
-    if smoother not in ("sgs", "jacobi", "chebyshev"):
-        raise ValueError("smoother must be 'sgs', 'jacobi', or 'chebyshev'")
+    if smoother not in ("sgs", "chebyshev"):
+        raise ValueError("smoother must be 'sgs' or 'chebyshev'")
     A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
@@ -349,13 +344,11 @@ def smoothed_aggregation(
         AT.data *= np.repeat(4.0 / (3.0 * rho) * dinv, np.diff(AT.indptr))
         P = T - AT
         R = sp.csr_matrix(P.T)
-        # Damped Jacobi targeting omega * rho(D^-1 A) = 4/3.
-        omega = 2.0 * jacobi_omega_factor / rho
         upper: Optional[spla.SuperLU] = None
         if smoother == "sgs":
             rows = row_ids(Acur)
             upper = _factor_triangle(_masked(Acur, rows, rows <= Acur.indices))
-        levels.append(Level(Acur, P, R, dinv, omega, smoother, upper, rho))
+        levels.append(Level(Acur, P, R, dinv, smoother, upper, rho))
         Acur = R @ Acur @ P
         Acur.sum_duplicates()
 

@@ -27,11 +27,6 @@ class SolveResult:
     iterations: int
     residuals: List[float] = field(default_factory=list)
 
-    @property
-    def final_residual(self) -> float:
-        """The last recorded residual norm (NaN when none was recorded)."""
-        return self.residuals[-1] if self.residuals else float("nan")
-
 
 def _default_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.ravel(), b.ravel()))

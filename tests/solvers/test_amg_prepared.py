@@ -53,7 +53,7 @@ def test_prefactored_sweep_matches_triangular_solves(A, n, block_size, sweeps):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("smoother", ["sgs", "jacobi", "chebyshev"])
+@pytest.mark.parametrize("smoother", ["sgs", "chebyshev"])
 def test_zero_guess_shortcut_is_exact(smoother):
     A = poisson_2d(16)
     ml = smoothed_aggregation(A, smoother=smoother)
