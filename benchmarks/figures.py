@@ -1,19 +1,26 @@
-"""The paper's evaluation tables (Figs. 4, 5, 7, 9, 10 and the §IV-A count), regenerated.
+"""The paper's evaluation tables and the committed benchmark evidence, regenerated.
 
     python3 -m benchmarks.figures [BENCH_<n>.json | suite --out file] [--check]
 
-One rule makes the output deterministic.  A *modeled* row is a pure
-function of paper constants and counted structure — the ``CommStats`` of
-a P = 4 ``Machine`` run of the Fig. 4 pipeline, the element count of a
-constructed forest — and never reads a clock.  A *lab* row is looked up
-by metric name in the suite file given, on the full-size traced run of
-the workload that owns the metric (``benchmarks.suite.registry``).
+``EXPERIMENTS.md`` holds the paper's evaluation tables (Figs. 4, 5, 7,
+9, 10 and the §IV-A count).  One rule makes them deterministic.  A
+*modeled* row is a pure function of paper constants and counted
+structure — the ``CommStats`` of a P = 4 ``Machine`` run of the Fig. 4
+pipeline, the element count of a constructed forest — and never reads a
+clock.  A *lab* row is looked up by metric name in the suite file given,
+on the full-size traced run of the workload that owns the metric
+(``benchmarks.suite.registry``).
 
-The tables are the generated blocks of ``EXPERIMENTS.md``
-(``<!-- figures:NAME -->`` … ``<!-- /figures:NAME -->``): a plain run
-rewrites them, ``--check`` only fails when a committed block differs
-from what the input produces.  With no input the newest
-``BENCH_<n>.json`` of the repository root is read.
+``docs/PERFORMANCE.md`` holds what the committed ``BENCH_<n>.json`` files
+say: a ``bench<n>`` block is read from that file alone (its claim, its
+stored ``compare`` rows), and the ``trend`` block puts every file's
+change-side medians side by side.  No block reads a clock.
+
+Both documents' tables are generated blocks (``<!-- figures:NAME -->``
+… ``<!-- /figures:NAME -->``): a plain run rewrites them, ``--check``
+only fails when a committed block differs from what the inputs produce.
+With no input the lab rows come from the newest ``BENCH_<n>.json`` of the
+repository root.
 """
 
 from __future__ import annotations
@@ -26,14 +33,14 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from benchmarks.suite import registry  # noqa: E402
+from benchmarks.suite import registry, stats, workloads  # noqa: E402
 from repro.apps.rhea.driver import RheaConfig, RheaRun  # noqa: E402
 from repro.p4est.balance import balance  # noqa: E402
 from repro.p4est.builders import rotcubes  # noqa: E402
@@ -50,6 +57,8 @@ from repro.perf.model import (  # noqa: E402
 )
 
 EXPERIMENTS = ROOT / "EXPERIMENTS.md"
+PERFORMANCE = ROOT / "docs" / "PERFORMANCE.md"
+DOCUMENTS = (EXPERIMENTS, PERFORMANCE)  # the files whose figures blocks are generated
 OWNER = {m.name: m.owner for m in registry.PER_LAYER}
 
 
@@ -450,45 +459,140 @@ def blocks(metrics: Lab, source: str) -> Dict[str, str]:
     return out
 
 
-def render(doc: str, generated: Mapping[str, str]) -> str:
+# --- docs/PERFORMANCE.md: what each committed BENCH file says -----------------------------
+
+END_TO_END = {m.name: m for m in registry.END_TO_END}
+CALIBRATED = [w for w in registry.workload_names() if workloads.get(w).calibrate]
+RERUNS = ("rerun", "first_round")  # further `compare` tables a BENCH file may keep
+VERDICT = re.compile(r"\s(ok|worse|unresolved)(\s|$)")
+
+
+class MissingBench(LookupError):
+    """A ``figures:bench<n>`` block names a BENCH file the repository does not hold."""
+
+
+def untraced(side: Mapping, workload: str, metric: str) -> Dict[int, float]:
+    """``{seed: value}`` of ``metric`` over one side's untraced runs of ``workload``."""
+    return {r["seed"]: r["metrics"][metric] for r in side["runs"]
+            if not r["traced"] and r["workload"] == workload}
+
+
+def claim_line(bench: Mapping, name: str) -> str:
+    """Medians, ratio, seed pairs won and the median gap over the parent's quartile distance."""
+    w, m = bench["claim"]["workload"], END_TO_END[bench["claim"]["metric"]]
+    a, b = (untraced(bench[side], w, m.name) for side in ("parent", "change"))
+    a1, a2, a3 = stats.quartiles(list(a.values()))
+    b2 = stats.median(list(b.values()))
+    sign = 1.0 if m.better == "lower" else -1.0
+    seeds = sorted(a.keys() & b.keys())
+    won = sum(sign * b[s] < sign * a[s] for s in seeds)
+    return (f"**Claim** (`{name}`): `{w}` `{m.name}` {a2:.5g} → {b2:.5g} {m.unit}, "
+            f"{b2 / a2:.4f} of the parent; the change is better in {won} of {len(seeds)} "
+            f"pairs by seed, and the median gap is {abs(a2 - b2) / (a3 - a1):.2f}× the "
+            f"parent's quartile distance.")
+
+
+def compare_rows(lines: Sequence[str], claimed: Optional[str], where: str) -> str:
+    """The claimed workload's rows and every row not ``ok``, verbatim; the rest counted."""
+    rows = lines[1:]
+    keep = [r for r in rows if r.split()[0] == claimed or VERDICT.search(r).group(1) != "ok"]
+    table = "\n".join([lines[0], *keep])
+    rest = f"{len(rows) - len(keep)} other rows `ok`; full table in {where}."
+    return f"```text\n{table}\n```\n\n{rest}"
+
+
+def bench_block(bench: Mapping, name: str) -> str:
+    """One BENCH file's claim line and stored ``compare`` rows, from that file alone."""
+    claimed = (bench["claim"] or {}).get("workload")
+    parts = [claim_line(bench, name)] if claimed else []
+    tables = {"compare": bench.get("compare")}
+    tables.update((k, bench[k]["compare"]) for k in RERUNS if k in bench)
+    for key, lines in tables.items():
+        if lines:
+            parts.append(compare_rows(lines, claimed, f"`{name}` (`{key}`)"))
+    return "\n\n".join(parts)
+
+
+def trend(benches: Mapping[str, Mapping]) -> str:
+    """Per end-to-end metric: every BENCH file's change-side medians, one column a workload."""
+    names = registry.workload_names()
+    tables = []
+    for m in registry.END_TO_END:
+        head = [f"`{m.name}` ({m.unit})", "`host.speed_factor`", *names]
+        rows = [head, ["---"] * len(head)]
+        for name, bench in benches.items():
+            change = bench["change"]
+            speed = [r["raw"]["speed_factor"] for r in change["runs"]
+                     if not r["traced"] and r["workload"] in CALIBRATED]
+            cells = [f"{stats.median(list(v.values())):.4g}" if v else "—"
+                     for v in (untraced(change, w, m.name) for w in names)]
+            rows.append([f"`{name}`", f"{stats.median(speed):.3g}", *cells])
+        tables.append("\n".join(f"| {' | '.join(r)} |" for r in rows))
+    return "\n\n".join(tables)
+
+
+def bench_blocks(doc: str) -> Dict[str, str]:
+    """A block for each ``figures:bench<n>`` marker in ``doc``; the trend of every BENCH file."""
+    out = {}
+    for n in re.findall(r"<!-- figures:bench(\d+) -->", doc):
+        path = ROOT / f"BENCH_{n}.json"
+        if not path.exists():
+            raise MissingBench(f"{path.name}: named by a figures:bench{n} block, not committed")
+        out[f"bench{n}"] = bench_block(json.loads(path.read_text()), path.name)
+    out["trend"] = trend({p.name: json.loads(p.read_text()) for p in committed_benches()})
+    return out
+
+
+# --- the documents ------------------------------------------------------------------------
+
+
+def render(doc: str, generated: Mapping[str, str], where: str = "the document") -> str:
     """``doc`` with the body of every ``<!-- figures:NAME -->`` block replaced."""
     for name, body in generated.items():
         pattern = re.compile(
             rf"(<!-- figures:{name} -->\n).*?(<!-- /figures:{name} -->)", re.DOTALL)
         doc, n = pattern.subn(lambda m: f"{m.group(1)}{body}\n{m.group(2)}", doc)
         if n != 1:
-            raise ValueError(f"EXPERIMENTS.md must hold exactly one figures:{name} block, has {n}")
+            raise ValueError(f"{where} must hold exactly one figures:{name} block, has {n}")
     return doc
 
 
-def newest_bench() -> Path:
-    """The ``BENCH_<n>.json`` of the repository root with the largest ``n``."""
-    return max(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+def committed_benches() -> List[Path]:
+    """The ``BENCH_<n>.json`` files of the repository root, by ``n``."""
+    return sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
 
 
-def main(argv: Optional[List[str]] = None, experiments: Path = EXPERIMENTS) -> int:
+def main(argv: Optional[List[str]] = None, documents: Sequence[Path] = DOCUMENTS) -> int:
     parser = argparse.ArgumentParser(prog="python3 -m benchmarks.figures")
     parser.add_argument("input", nargs="?", type=Path,
-                        help="suite --out file or BENCH_<n>.json (default: the newest BENCH)")
+                        help="suite --out file or BENCH_<n>.json for EXPERIMENTS.md's lab rows "
+                             "(default: the newest BENCH)")
     parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 if EXPERIMENTS.md differs")
+                        help="write nothing; exit 1 if a document differs")
     args = parser.parse_args(argv)
-    path = args.input or newest_bench()
-    try:
-        generated = blocks(load_lab(path), path.name)
-    except MissingMetric as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        return 2
-    old = experiments.read_text()
-    new = render(old, generated)
-    if args.check:
-        sys.stdout.writelines(difflib.unified_diff(
-            old.splitlines(True), new.splitlines(True), "committed", f"from {path.name}"))
-        print(f"{experiments.name}: " + ("ok" if new == old else "stale; rerun without --check"))
-        return int(new != old)
-    experiments.write_text(new)
-    print("\n\n".join(f"===== {name} =====\n{body}" for name, body in generated.items()))
-    return 0
+    path = args.input or committed_benches()[-1]
+    stale = False
+    for doc in documents:
+        old = doc.read_text()
+        try:
+            generated = (blocks(load_lab(path), path.name) if doc.name == EXPERIMENTS.name
+                         else bench_blocks(old))
+        except MissingMetric as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            return 2
+        except MissingBench as exc:
+            print(f"{doc}: {exc}", file=sys.stderr)
+            return 2
+        new = render(old, generated, doc.name)
+        if args.check:
+            sys.stdout.writelines(difflib.unified_diff(
+                old.splitlines(True), new.splitlines(True), "committed", "generated"))
+            print(f"{doc.name}: " + ("ok" if new == old else "stale; rerun without --check"))
+            stale |= new != old
+        else:
+            doc.write_text(new)
+            print("\n\n".join(f"===== {name} =====\n{body}" for name, body in generated.items()))
+    return int(stale)
 
 
 if __name__ == "__main__":

@@ -118,15 +118,88 @@ def test_missing_metric_fails_the_command(tmp_path, capsys):
     assert "owner workload 'advect_amr'" in capsys.readouterr().err
 
 
-# --- EXPERIMENTS.md cannot drift ------------------------------------------------------------
+# --- the BENCH blocks: read from the file they name ---------------------------------------
+
+BENCHES = figures.committed_benches()
+
+
+def side(values, traced_value=None):
+    """One side of a BENCH file: ``{seed: value}`` as untraced runs, plus one traced run."""
+    runs = [{"workload": "w", "seed": s, "traced": False, "metrics": {"wall_s": v}}
+            for s, v in values.items()]
+    if traced_value is not None:
+        runs.append({"workload": "w", "seed": 0, "traced": True,
+                     "metrics": {"wall_s": traced_value}})
+    return {"runs": runs}
+
+
+def test_claim_pairs_are_matched_by_seed_over_untraced_runs():
+    parent = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
+    # listed in reverse: paired by position, the change would win only two of four
+    change = dict(reversed([(0, 0.9), (1, 1.9), (2, 2.9), (3, 4.1)]))
+    bench = {"claim": {"workload": "w", "metric": "wall_s"},
+             "parent": side(parent, traced_value=0.1), "change": side(change, traced_value=9.9)}
+    line = figures.claim_line(bench, "BENCH_0.json")
+    assert "`w` `wall_s` 2.5 → 2.4 s, 0.9600 of the parent" in line
+    assert "better in 3 of 4 pairs by seed" in line
+    assert "0.04× the parent's quartile distance" in line  # (2.5 - 2.4) / (3.75 - 1.25)
+
+
+@pytest.mark.parametrize("path", BENCHES, ids=lambda p: p.stem)
+def test_claim_lines_read_the_committed_files(path):
+    bench = json.loads(path.read_text())
+    block = figures.bench_block(bench, path.name)
+    if bench["claim"] is None:  # BENCH_17: no claim, only the rows that are not ok
+        assert "**Claim**" not in block
+        rows = block.split("```text\n")[1].split("\n```")[0].splitlines()[1:]
+        assert rows and all(figures.VERDICT.search(r).group(1) != "ok" for r in rows)
+        return
+    won = {"BENCH_43.json": 9, "BENCH_44.json": 9}.get(path.name, 10)
+    assert block.startswith(f"**Claim** (`{path.name}`)")
+    assert f"better in {won} of 10 pairs by seed" in block
+    if "compare" not in bench:  # BENCH_16: the claim line alone
+        assert "\n" not in block
+
+
+def test_claim_medians_of_the_two_newest_files():
+    read = {p.name: figures.bench_block(json.loads(p.read_text()), p.name) for p in BENCHES[-2:]}
+    assert "`stokes_picard` `op_p50_ms` 84.817 → 68.853 ms" in read["BENCH_43.json"]
+    assert "`stokes_picard` `wall_s` 0.46153 → 0.39412 s" in read["BENCH_44.json"]
+    for key in ("compare", "rerun", "first_round"):
+        assert f"full table in `BENCH_43.json` (`{key}`)" in read["BENCH_43.json"]
+
+
+def test_a_block_naming_a_missing_bench_file_fails_the_command(tmp_path, capsys):
+    doc = tmp_path / "PERFORMANCE.md"
+    doc.write_text("<!-- figures:bench999 -->\n<!-- /figures:bench999 -->\n")
+    assert figures.main(["--check"], documents=(doc,)) == 2
+    assert "BENCH_999.json" in capsys.readouterr().err
+
+
+# --- the documents cannot drift -------------------------------------------------------------
 
 
 def test_check_passes_on_the_committed_tables_and_fails_on_an_edited_one(tmp_path, capsys):
     assert figures.main(["--check"]) == 0, capsys.readouterr().out
-    edited = tmp_path / "EXPERIMENTS.md"
-    edited.write_text(figures.EXPERIMENTS.read_text().replace("0.6555", "0.6565"))
-    assert figures.main(["--check"], experiments=edited) == 1
-    assert "-220320               0.6565" in capsys.readouterr().out
-    assert "0.6565" in edited.read_text()  # --check writes nothing
+    experiments, performance = tmp_path / "EXPERIMENTS.md", tmp_path / "PERFORMANCE.md"
+    experiments.write_text(figures.EXPERIMENTS.read_text().replace("0.6555", "0.6565"))
+    performance.write_text(figures.PERFORMANCE.read_text())
+    assert figures.main(["--check"], documents=(experiments, performance)) == 1
+    out = capsys.readouterr().out
+    assert "-220320               0.6565" in out
+    assert "EXPERIMENTS.md: stale" in out and "PERFORMANCE.md: ok" in out
+    assert "0.6565" in experiments.read_text()  # --check writes nothing
+    committed = figures.PERFORMANCE.read_text()
+    edits = {
+        "a bench claim line": ("84.817 → 68.853", "84.817 → 68.854"),
+        "a bench compare row": ("0.46153 [  0.44432,", "0.46153 [  0.44433,"),
+        "the trend": ("| 0.5466 | 5.316 |", "| 0.5466 | 5.317 |"),
+    }
+    for where, (old, new) in edits.items():
+        assert committed.count(old) == 1, where
+        performance.write_text(committed.replace(old, new))
+        assert figures.main(["--check"], documents=(performance,)) == 1, where
+        line = next(line for line in committed.splitlines() if old in line)
+        assert f"+{line}\n" in capsys.readouterr().out  # the diff restores the file's line
     with pytest.raises(ValueError, match="figures:fig4"):  # a lost marker is not "up to date"
         figures.render("no markers here", {"fig4": "x"})
