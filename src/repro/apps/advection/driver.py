@@ -157,6 +157,7 @@ class AdvectionRun:
         self.space = self.solver.space
         # The RK register lives as long as the mesh it is shaped for.
         self._register = np.empty((self.mesh.nelem_local, self.mesh.npts))
+        self._built_revision = self.forest.revision
 
     def _element_h(self) -> np.ndarray:
         # Physical length scale per local element from its lattice size.
@@ -185,7 +186,8 @@ class AdvectionRun:
     # -- public API -----------------------------------------------------------------
 
     def adapt(self) -> None:
-        """One dynamic AMR cycle: mark, adapt, transfer, repartition, rebuild."""
+        """One dynamic AMR cycle: mark, adapt, transfer, repartition, and
+        rebuild when the forest changed (its ``revision``)."""
         t0 = time.perf_counter()
         with trace_phase(PHASE_AMR):
             refine = self._refine_mask(self.t)
@@ -200,7 +202,8 @@ class AdvectionRun:
             )
             self.timers.add("adapt", time.perf_counter() - t0)
             t0 = time.perf_counter()
-            self._rebuild()
+            if self.forest.revision != self._built_revision:
+                self._rebuild()
             self.timers.add("ghost+mesh", time.perf_counter() - t0)
         self.adapt_count += 1
         self.last_adapt = result

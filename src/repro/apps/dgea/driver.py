@@ -157,6 +157,7 @@ class SeismicRun:
         self._register = np.empty(
             (self.mesh.nelem_local, self.mesh.npts, self.model.nfields)
         )
+        self._built_revision = self.forest.revision
         if hasattr(self, "_probe"):
             self._make_probe()
 
@@ -262,7 +263,8 @@ class SeismicRun:
         relative to the global maximum; the solution travels to the new
         mesh through the conservative transfer and the partition carries
         it along (the paper's optional "coarsen and refine the mesh
-        during the simulation to track propagating waves").  Collective.
+        during the simulation to track propagating waves").  The mesh is
+        rebuilt only when the forest changed (its ``revision``).  Collective.
         """
         from repro.amr.driver import adapt_and_rebalance
         from repro.parallel.ops import MAX
@@ -290,7 +292,8 @@ class SeismicRun:
                 degree=self.cfg.degree,
                 max_level=self.cfg.max_level,
             )
-            self._rebuild()
+            if self.forest.revision != self._built_revision:
+                self._rebuild()
         self.adapt_count += 1
         if (
             self.cfg.validate_every > 0

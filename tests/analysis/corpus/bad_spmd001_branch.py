@@ -6,6 +6,9 @@ global ``allreduce``.  Lines carrying an ``# expect:`` marker must be
 flagged with exactly that rule; every other line must stay clean.
 """
 
+from repro.amr.driver import adapt_and_rebalance
+from repro.p4est.ghost import build_ghost
+
 
 def gate_on_rank(comm):
     if comm.rank == 0:
@@ -46,3 +49,12 @@ def ghost_exchange_skipped_without_ghosts(space, comm, q):
     if space.mesh.nelem_ghost == 0:
         return q
     return space.ghost.exchange_octant_data(comm, q)  # expect: SPMD001
+
+
+def rebuild_gated_on_adapt_result(forest, refine, coarsen):
+    # adapt_and_rebalance's statistics are registered as rank-local, so a
+    # predicate on them does not gate a collective rebuild uniformly; the
+    # forest's revision does (see the good corpus).
+    result, _ = adapt_and_rebalance(forest, refine, coarsen)
+    if result.refined or result.coarsened or result.moved:
+        build_ghost(forest)  # expect: SPMD001

@@ -74,6 +74,26 @@ def test_run_setup_refines_at_fronts():
     assert run.global_unknowns() == run.global_elements() * 27
 
 
+def test_unchanged_forest_keeps_the_binding():
+    """An adapt that marks nothing leaves ``Forest.revision`` alone: the
+    run keeps its bound operator, and its next RK step is the bytes of a
+    twin run that rebuilds."""
+    kept, twin = (AdvectionRun(SerialComm(), small_config()) for _ in range(2))
+    dt = kept.solver.stable_dt(kept.q, cfl=kept.cfg.cfl)
+    for run in (kept, twin):
+        run._refine_mask = run._coarsen_mask = lambda t, run=run: np.zeros(
+            run.forest.local_count, dtype=bool
+        )
+    solver = kept.solver
+    for run in (kept, twin):
+        run.adapt()
+    twin._rebuild()
+    assert kept.solver is solver and twin.solver is not solver
+    for run in (kept, twin):
+        run.run(1, dt=dt)
+    assert kept.q.tobytes() == twin.q.tobytes()
+
+
 def test_run_integrates_and_adapts():
     run = AdvectionRun(SerialComm(), small_config())
     m0 = run.mass()

@@ -325,6 +325,28 @@ def test_picard_converges_quickly_at_max_level_3():
         assert result.converged and result.iterations <= 26
 
 
+def test_noop_adapt_keeps_the_stokes_problem():
+    """At ``max_level == base_level`` every adapt leaves the forest as it
+    was: the run keeps its mesh, space and Stokes problem (with the plan
+    and saddle structure built on them), and its next solve is the bytes
+    of a twin run that rebuilds them."""
+    cfg = RheaConfig(base_level=1, max_level=1)
+    kept, twin = RheaRun(SerialComm(), cfg), RheaRun(SerialComm(), cfg)
+    for run in (kept, twin):
+        run.picard_step()
+    objects = (kept.mesh, kept.cgs, kept.stokes)
+    revision = kept.forest.revision
+    for run in (kept, twin):
+        run.adapt()
+    twin._rebuild()
+    assert kept.forest.revision == revision
+    assert all(a is b for a, b in zip((kept.mesh, kept.cgs, kept.stokes), objects))
+    assert twin.stokes is not kept.stokes
+    got, want = kept.picard_step(), twin.picard_step()
+    assert got.u.tobytes() == want.u.tobytes()
+    assert got.p.tobytes() == want.p.tobytes()
+
+
 def test_rhea_shell_setup_refines_plates():
     cfg = RheaConfig(domain="shell", base_level=1, max_level=2, stokes_maxiter=2)
     run = RheaRun(SerialComm(), cfg)
