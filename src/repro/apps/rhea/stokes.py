@@ -13,10 +13,11 @@ of smoothed-aggregation AMG, as the paper's Rhea does, and in the (2,2)
 block by BFBT, the Schur-complement approximation the authors moved to
 after it (Rudi et al., SC15): the paper's inverse-viscosity pressure mass
 does not hold up against the viscosity contrast of the plate weak zones.
-The Dirichlet-eliminated saddle structure is built once per space, so a
-Picard step writes values only.  V-cycle count and time are recorded
-separately from the rest of the Krylov work, which is the split reported
-in Fig. 7.
+The Dirichlet-eliminated saddle structure is built once per forest
+revision (the driver keeps its ``StokesProblem`` across an adapt that
+left the forest unchanged), so a Picard step writes values only.
+V-cycle count and time are recorded separately from the rest of the
+Krylov work, which is the split reported in Fig. 7.
 """
 
 from __future__ import annotations
